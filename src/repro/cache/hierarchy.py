@@ -9,12 +9,13 @@ involved (``l3_miss``); the memory controller owns everything below.  Dirty
 L3 victims surface as ``dram_writebacks`` so the controller can model write
 traffic and compressed-page bookkeeping.
 
-Storage is columnar (``sa_cache.SetAssociativeCache``): the fill helpers
-and fast twins below write the flat tag/flag columns and per-set recency
-order lists directly -- no :class:`CacheLine` objects move between
-levels.  Any change to the fill semantics must be mirrored in
-``ReferenceSetAssociativeCache`` (the readable spec) and stays pinned by
-the differential property tests and the fast-vs-slow goldens.
+Storage is columnar (``sa_cache.SetAssociativeCache``): the access path
+and fill helpers below write the flat tag/flag columns and per-set
+recency order lists directly -- no :class:`CacheLine` objects move
+between levels.  Both replay loops share this one access path; its
+behaviour stays pinned by the ``--emit-json`` goldens, and the
+per-cache semantics by the differential tests against the
+``OrderedDict`` oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ class HierarchyConfig:
     l2_stride_degree: int = 4
 
 
+#: :meth:`CacheHierarchy.access_fast` hit levels, by name.
+_HIT_LEVEL_NAMES = ("l1", "l2", "l3", "memory")
+
+
 @dataclass(slots=True)
 class AccessResult:
     """What one block access did."""
@@ -53,11 +58,6 @@ class AccessResult:
     latency_cycles: int
     l3_miss: bool
     dram_writebacks: List[int] = field(default_factory=list)
-    served_compressed: bool = False
-
-    @property
-    def hit(self) -> bool:
-        return self.hit_level != "memory"
 
 
 class CacheHierarchy:
@@ -78,9 +78,14 @@ class CacheHierarchy:
         self._next_line = NextLinePrefetcher()
         self._stride_l1 = StridePrefetcher(degree=config.l1_stride_degree)
         self._stride_l2 = StridePrefetcher(degree=config.l2_stride_degree)
-        #: ``config.enable_prefetch`` is fixed at construction; the fast
+        #: ``config.enable_prefetch`` is fixed at construction; the access
         #: path reads this attribute to skip the dataclass field load.
         self._prefetch_on = config.enable_prefetch
+        #: Load-to-use cycles per :meth:`access_fast` hit level.
+        l2_cycles = config.l1_latency + config.l2_latency
+        self._level_cycles = (config.l1_latency, l2_cycles,
+                              l2_cycles + config.l3_latency,
+                              l2_cycles + config.l3_latency)
 
     # ------------------------------------------------------------------
     # Main access path
@@ -89,64 +94,20 @@ class CacheHierarchy:
     def access(self, address: int, is_write: bool = False,
                is_ptb: bool = False) -> AccessResult:
         """Serve one demand access; returns where it hit and at what cost."""
-        block = address >> 6
-        config = self.config
         writebacks: List[int] = []
-
-        if config.enable_prefetch:
-            self._next_line.train_demand(block)
-
-        line = self.l1.lookup(block, is_write)
-        if line is not None:
-            return AccessResult("l1", config.l1_latency, l3_miss=False,
-                                served_compressed=line.compressed)
-
-        latency = config.l1_latency + config.l2_latency
-        if config.enable_prefetch:
-            self._issue_prefetches(self._prefetch_candidates_l1(block), writebacks)
-
-        line = self.l2.lookup(block)
-        if line is not None:
-            self._fill_l1(block, is_write, line.compressed, line.is_ptb, writebacks)
-            return AccessResult("l2", latency, l3_miss=False,
-                                dram_writebacks=writebacks,
-                                served_compressed=line.compressed)
-
-        latency += config.l3_latency
-        if config.enable_prefetch:
-            self._issue_prefetches(self._stride_l2.on_access(block), writebacks)
-
-        line = self.l3.lookup(block)
-        if line is not None:
-            # Exclusive L3: the block moves up to L2/L1.
-            moved = self.l3.invalidate(block)
-            self._fill_l2(block, moved.dirty if moved else False,
-                          moved.compressed if moved else False,
-                          moved.is_ptb if moved else is_ptb, writebacks)
-            self._fill_l1(block, is_write,
-                          moved.compressed if moved else False,
-                          moved.is_ptb if moved else is_ptb, writebacks)
-            return AccessResult("l3", latency, l3_miss=False,
-                                dram_writebacks=writebacks,
-                                served_compressed=moved.compressed if moved else False)
-
-        # Memory: caller adds DRAM latency; we complete the fills now.
-        self._fill_l2(block, dirty=False, compressed=False, is_ptb=is_ptb,
-                      writebacks=writebacks)
-        self._fill_l1(block, is_write, compressed=False, is_ptb=is_ptb,
-                      writebacks=writebacks)
-        return AccessResult("memory", latency, l3_miss=True,
-                            dram_writebacks=writebacks)
+        level = self.access_fast(address >> 6, is_write, is_ptb, writebacks)
+        return AccessResult(_HIT_LEVEL_NAMES[level], self._level_cycles[level],
+                            level == 3, writebacks)
 
     def access_fast(self, block: int, is_write: bool, is_ptb: bool,
                     writebacks: List[int]) -> int:
-        """Zero-observer variant of :meth:`access`.
+        """Serve one demand access to ``block``; returns the hit level.
 
-        Returns the hit level (0=L1, 1=L2, 2=L3, 3=memory) instead of an
-        :class:`AccessResult`; dirty L3 victims are appended to the
-        caller-owned ``writebacks`` list.  Every cache, prefetcher, and
-        stat state transition must stay identical to :meth:`access` (the
-        fast-path contract, ``docs/performance.md``).
+        0=L1, 1=L2, 2=L3, 3=memory (the caller adds the DRAM latency;
+        the fills are already done).  Dirty L3 victims are appended to
+        the caller-owned ``writebacks`` list.  The fast replay loop calls
+        this directly (and inlines its L1-hit half) to skip the
+        :class:`AccessResult` of :meth:`access`.
         """
         if self._prefetch_on:
             outstanding = self._next_line._outstanding
@@ -176,11 +137,12 @@ class CacheHierarchy:
         next-line training + L1 probe and only pay a call on a miss.
         """
         if self._prefetch_on:
-            # _prefetch_candidates_l1 issued in candidate order; issuing
-            # next-line candidates before training the L1 stride table is
-            # equivalent because prefetchers never read cache contents.
-            # NextLinePrefetcher.on_miss + the single-block issue are
-            # inlined (retire may flip ``_enabled``, so it runs first).
+            # The L1 prefetch candidates are the next line, then the L1
+            # stride table's; issuing the next line before training the
+            # stride table is equivalent because prefetchers never read
+            # cache contents.  NextLinePrefetcher.on_miss + the
+            # single-block issue are inlined (retire may flip
+            # ``_enabled``, so it runs first).
             nl = self._next_line
             outstanding = nl._outstanding
             if len(outstanding) > nl.window:
@@ -267,7 +229,7 @@ class CacheHierarchy:
     # every L1 miss of the replay loop, and both the object graph and the
     # call layers of the original per-line implementation dominated the
     # hierarchy's profile.  Any change to the fill semantics must be
-    # mirrored in ``ReferenceSetAssociativeCache`` (``sa_cache.py``).
+    # mirrored in the ``OrderedDict`` oracle (``tests/oracles.py``).
 
     def _fill_l1(self, block: int, is_write: bool, compressed, is_ptb,
                  writebacks: List[int]) -> None:
@@ -409,11 +371,6 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     # Prefetch
     # ------------------------------------------------------------------
-
-    def _prefetch_candidates_l1(self, block: int) -> List[int]:
-        candidates = self._next_line.on_miss(block)
-        candidates += self._stride_l1.on_access(block)
-        return candidates
 
     def _issue_prefetches(self, blocks: List[int], writebacks: List[int]) -> None:
         """Install prefetched blocks into L2 (no latency is charged)."""

@@ -5,20 +5,16 @@ bit TMCC adds to every L2/L3 line to mark compressed-PTB encoding,
 Section V-A4) and ``is_ptb`` (whether the line was brought in by the page
 walker -- hardware knows this from the requester ID).
 
-Two implementations share the API:
-
-- :class:`SetAssociativeCache` -- the production store.  State is
-  *columnar* (structure-of-arrays): one global ``block -> slot`` index,
-  flat parallel ``tags``/``dirty``/``compressed``/``is_ptb`` columns
-  indexed by slot (``slot = set * associativity + way``), and a per-set
-  recency *order list* of slots (LRU first).  The fast replay loop
-  reads the columns directly and batch-classifies whole trace chunks
-  against the ``tags`` column (``docs/performance.md``).
-- :class:`ReferenceSetAssociativeCache` -- the original
-  per-entry-object implementation (``OrderedDict`` of
-  :class:`CacheLine` per set), kept as the readable spec and as the
-  oracle for the differential property tests in
-  ``tests/cache/test_columnar_differential.py``.
+State is *columnar* (structure-of-arrays): one global ``block -> slot``
+index, flat parallel ``tags``/``dirty``/``compressed``/``is_ptb``
+columns indexed by slot (``slot = set * associativity + way``), and a
+per-set recency *order list* of slots (LRU first).  The fast replay loop
+reads the columns directly and batch-classifies whole trace chunks
+against the ``tags`` column (``docs/performance.md``).  The original
+per-entry-object implementation (an ``OrderedDict`` of
+:class:`CacheLine` per set) lives on in ``tests/oracles.py`` as the
+oracle of the differential property tests in
+``tests/cache/test_columnar_differential.py``.
 
 The ``tags`` column is an ``array('q')`` so numpy can view it zero-copy;
 a block number beyond int64 (never produced by the simulator, but the
@@ -29,7 +25,6 @@ numpy view for that cache.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
@@ -208,83 +203,3 @@ class SetAssociativeCache:
             return None
         return np.frombuffer(self._tags, dtype=np.int64).reshape(
             self.num_sets, self.associativity)
-
-
-class ReferenceSetAssociativeCache:
-    """The original per-entry-object implementation (the readable spec).
-
-    Kept verbatim for differential testing: random operation sequences
-    against this oracle and :class:`SetAssociativeCache` must produce
-    identical hits, victims, and stats.
-    """
-
-    def __init__(self, size_bytes: int, associativity: int, name: str = "cache") -> None:
-        if size_bytes % (BLOCK_SIZE * associativity):
-            raise ValueError(
-                f"{name}: size {size_bytes} not divisible by "
-                f"{BLOCK_SIZE} x associativity {associativity}"
-            )
-        self.name = name
-        self.size_bytes = size_bytes
-        self.associativity = associativity
-        self.num_sets = size_bytes // (BLOCK_SIZE * associativity)
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError(f"{name}: number of sets must be a power of two")
-        self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
-        self.stats = RatioStat(name)
-
-    def _set_of(self, block: int) -> "OrderedDict[int, CacheLine]":
-        return self._sets[block & (self.num_sets - 1)]
-
-    def lookup(self, block: int, is_write: bool = False) -> Optional[CacheLine]:
-        entries = self._set_of(block)
-        line = entries.get(block)
-        self.stats.record(line is not None)
-        if line is not None:
-            entries.move_to_end(block)
-            if is_write:
-                line.dirty = True
-        return line
-
-    def peek(self, block: int) -> Optional[CacheLine]:
-        return self._set_of(block).get(block)
-
-    def contains(self, block: int) -> bool:
-        return block in self._set_of(block)
-
-    def fill(self, block: int, dirty: bool = False, compressed: bool = False,
-             is_ptb: bool = False) -> Optional[CacheLine]:
-        entries = self._set_of(block)
-        if block in entries:
-            line = entries[block]
-            entries.move_to_end(block)
-            line.dirty = line.dirty or dirty
-            line.compressed = compressed
-            line.is_ptb = line.is_ptb or is_ptb
-            return None
-        victim: Optional[CacheLine] = None
-        if len(entries) >= self.associativity:
-            _, victim = entries.popitem(last=False)
-        entries[block] = CacheLine(block, dirty=dirty, compressed=compressed,
-                                   is_ptb=is_ptb)
-        return victim
-
-    def invalidate(self, block: int) -> Optional[CacheLine]:
-        return self._set_of(block).pop(block, None)
-
-    def flush(self) -> List[CacheLine]:
-        dirty: List[CacheLine] = []
-        for entries in self._sets:
-            dirty.extend(line for line in entries.values() if line.dirty)
-            entries.clear()
-        return dirty
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(entries) for entries in self._sets)
-
-    def blocks(self) -> Iterator[int]:
-        for entries in self._sets:
-            yield from entries

@@ -1,43 +1,33 @@
-"""Declarative latency composition for the LLC-miss service path.
+"""Stage records of the LLC-miss service path.
 
 The paper's central claims are timeline claims: Figure 8 contrasts the
 serial CTE-fetch -> data-fetch chain against TMCC's parallel speculative
 fetch, Figure 18 decomposes average L3-miss latency, and Figure 19 splits
-accesses across service paths.  Instead of each controller hand-threading
-``now_ns`` offsets and ad-hoc ``max()`` arithmetic, the miss path is
-*data*: controllers build a small expression tree out of
+accesses across service paths.  Each controller serves a miss with
+direct code and describes what it did as a sequence of **span records**::
 
-- :class:`Stage` -- one named unit of work with a latency (a constant, or
-  a callable evaluated with the stage's start time so DRAM queue state is
-  sampled at the moment the request would actually issue),
-- :func:`serial` -- stages back to back (latencies sum),
-- :func:`parallel` -- stages racing (latency is the max; losing branches
-  get their hidden time attributed as *slack*, and speculative stages
-  marked ``wasted`` keep their full cost visible),
-- :func:`cond` -- build-time selection between alternative sub-paths,
-- :func:`defer` -- a sub-pipeline whose shape (or closures) depend on its
-  own start time, built lazily during evaluation.
+    (name, start_ns, latency_ns, critical, wasted, slack_ns)
 
-:func:`evaluate` walks the tree once, in declaration order, and returns a
-:class:`ServiceTimeline` recording the start/end of every stage.  The
-evaluation is careful to reproduce the exact floating-point association
-of the hand-written arithmetic it replaced (sums accumulate left to
-right; a nested pipeline's base time is formed with a single addition),
-so a controller refactored onto the algebra reports bit-identical
-``MissResult.latency_ns`` values.
+one per stage, in service order.  ``critical`` marks stages on the
+critical path (serial stages and race winners): the critical latencies
+sum to the miss latency.  ``slack_ns`` is completion time a losing race
+branch hid under the winner; ``wasted`` marks discarded speculative work
+(TMCC's stale-CTE data fetch), whose DRAM cost is real even when hidden.
 
-:class:`StageAccounting` aggregates timelines per access path for the
-Figure 8/18 reconstructions (``repro run --breakdown``).
+:class:`StageAccounting` aggregates records per access path for the
+Figure 8/18 reconstructions (``repro run --breakdown``);
+:meth:`ServiceTimeline.from_spans` turns one miss's records into
+:class:`StageSpan` objects, which only observers (span tracing) need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-#: A stage's cost: a non-negative constant, or a callable receiving the
-#: stage's absolute start time (ns) and returning the latency (ns).
-Latency = Union[float, int, Callable[[float], float]]
+#: One stage's span record: ``(name, start_ns, latency_ns, critical,
+#: wasted, slack_ns)``.
+SpanRecord = Tuple[str, float, float, bool, bool, float]
 
 # ----------------------------------------------------------------------
 # Canonical stage names (metric keys are ``controller.stage.<name>.*``)
@@ -46,11 +36,9 @@ Latency = Union[float, int, Callable[[float], float]]
 STAGE_CTE_FETCH = "cte_fetch"
 STAGE_DATA_FETCH = "data_fetch"
 STAGE_SPEC_DATA_FETCH = "spec_data_fetch"
-STAGE_CTE_REPAIR = "cte_repair"
 STAGE_ML2_READ = "ml2_read"
 STAGE_DECOMPRESS = "decompress"
 STAGE_MIGRATION_STALL = "migration_stall"
-STAGE_MIGRATE = "migrate"
 STAGE_EVICT = "evict"
 STAGE_EMERGENCY_EVICT = "emergency_evict"
 
@@ -63,10 +51,10 @@ class StageSpan:
     start_ns: float
     end_ns: float
     latency_ns: float
-    #: On the critical path (serial stages and parallel winners).  The
+    #: On the critical path (serial stages and race winners).  The
     #: critical spans of a timeline sum to its total latency.
     critical: bool = True
-    #: Time this stage's branch finished before the parallel winner --
+    #: Time this stage's branch finished before the race winner --
     #: latency hidden under another branch, not paid by the miss.
     slack_ns: float = 0.0
     #: Speculative work that was discarded (e.g. TMCC's stale-CTE data
@@ -87,11 +75,21 @@ class StageSpan:
 
 @dataclass(slots=True)
 class ServiceTimeline:
-    """The evaluated pipeline: every stage's placement plus the total."""
+    """One served miss: every stage's placement plus the total."""
 
     start_ns: float
     total_ns: float
     spans: List[StageSpan]
+
+    @classmethod
+    def from_spans(cls, start_ns: float, total_ns: float,
+                   records: Iterable[SpanRecord]) -> "ServiceTimeline":
+        """Build the timeline of a miss from its span records."""
+        return cls(start_ns, total_ns, [
+            StageSpan(name, start, start + latency, latency, critical,
+                      slack, wasted)
+            for name, start, latency, critical, wasted, slack in records
+        ])
 
     @property
     def end_ns(self) -> float:
@@ -115,156 +113,6 @@ class ServiceTimeline:
         return sum(span.latency_ns for span in self.spans if span.wasted)
 
 
-class PipelineNode:
-    """Base class of the composition tree."""
-
-    def _evaluate(self, base_ns: float, spans: List[StageSpan]) -> float:
-        """Append this node's spans, starting at ``base_ns``; return the
-        node's duration in ns."""
-        raise NotImplementedError
-
-
-class Stage(PipelineNode):
-    """One named unit of work.
-
-    ``latency`` is either a constant or a callable invoked with the
-    stage's absolute start time; callables may perform the modeled side
-    effects (DRAM reads, migration-buffer reservations) -- evaluation
-    order is declaration order, so side effects happen exactly where the
-    hand-written control flow performed them.
-
-    ``record=False`` runs the stage (for its side effects) without
-    emitting a span -- bookkeeping actions that take no foreground time.
-    """
-
-    __slots__ = ("name", "latency", "wasted", "record")
-
-    def __init__(self, name: str, latency: Latency, wasted: bool = False,
-                 record: bool = True) -> None:
-        if not name:
-            raise ValueError("stage name must be non-empty")
-        if not callable(latency) and latency < 0:
-            raise ValueError(f"stage {name!r} latency must be non-negative")
-        self.name = name
-        self.latency = latency
-        self.wasted = wasted
-        self.record = record
-
-    def _evaluate(self, base_ns: float, spans: List[StageSpan]) -> float:
-        latency = self.latency
-        if callable(latency):
-            latency = latency(base_ns)
-        if self.record:
-            spans.append(StageSpan(self.name, base_ns, base_ns + latency,
-                                   latency, wasted=self.wasted))
-        return latency
-
-
-class _Serial(PipelineNode):
-    __slots__ = ("children",)
-
-    def __init__(self, children: Sequence[PipelineNode]) -> None:
-        self.children = list(children)
-
-    def _evaluate(self, base_ns: float, spans: List[StageSpan]) -> float:
-        total = 0.0
-        for child in self.children:
-            total += child._evaluate(base_ns + total, spans)
-        return total
-
-
-class _Parallel(PipelineNode):
-    __slots__ = ("children",)
-
-    def __init__(self, children: Sequence[PipelineNode]) -> None:
-        if not children:
-            raise ValueError("parallel() needs at least one branch")
-        self.children = list(children)
-
-    def _evaluate(self, base_ns: float, spans: List[StageSpan]) -> float:
-        durations: List[float] = []
-        branch_slices: List[Tuple[int, int]] = []
-        for child in self.children:
-            mark = len(spans)
-            durations.append(child._evaluate(base_ns, spans))
-            branch_slices.append((mark, len(spans)))
-        duration = max(durations)
-        winner = durations.index(duration)
-        for index, (lo, hi) in enumerate(branch_slices):
-            if index == winner:
-                continue
-            slack = duration - durations[index]
-            for span in spans[lo:hi]:
-                span.critical = False
-            # The branch's hidden time belongs to its last span (its
-            # completion is what the winner overlaps past).
-            if hi > lo and slack > 0.0:
-                spans[hi - 1].slack_ns += slack
-        return duration
-
-
-class _Deferred(PipelineNode):
-    __slots__ = ("builder",)
-
-    def __init__(self, builder: Callable[[float], "NodeLike"]) -> None:
-        self.builder = builder
-
-    def _evaluate(self, base_ns: float, spans: List[StageSpan]) -> float:
-        return as_node(self.builder(base_ns))._evaluate(base_ns, spans)
-
-
-NodeLike = Union[PipelineNode, Stage]
-
-
-def as_node(node: NodeLike) -> PipelineNode:
-    if isinstance(node, PipelineNode):
-        return node
-    raise TypeError(f"not a pipeline node: {node!r}")
-
-
-def serial(*children: NodeLike) -> PipelineNode:
-    """Stages back to back; the duration is the left-to-right sum."""
-    return _Serial([as_node(child) for child in children])
-
-
-def parallel(*children: NodeLike) -> PipelineNode:
-    """Branches racing from a common start; the duration is the max.
-
-    Branches are evaluated in declaration order (side effects included);
-    losing branches are marked non-critical and their hidden completion
-    time is attributed as :attr:`StageSpan.slack_ns`.
-    """
-    return _Parallel([as_node(child) for child in children])
-
-
-def cond(condition: object, then: NodeLike,
-         otherwise: Optional[NodeLike] = None) -> PipelineNode:
-    """Build-time selection: ``then`` when truthy, else ``otherwise``
-    (an empty pipeline when omitted)."""
-    if condition:
-        return as_node(then)
-    if otherwise is None:
-        return _Serial([])
-    return as_node(otherwise)
-
-
-def defer(builder: Callable[[float], NodeLike]) -> PipelineNode:
-    """A sub-pipeline built at evaluation time from its own start time.
-
-    Use when a stage's cost model needs the sub-pipeline's base time in a
-    closure (e.g. a migration-buffer reservation made at the access's
-    arrival, not at the reserving stage's own start).
-    """
-    return _Deferred(builder)
-
-
-def evaluate(node: NodeLike, start_ns: float = 0.0) -> ServiceTimeline:
-    """Run the pipeline once; returns the recorded timeline."""
-    spans: List[StageSpan] = []
-    total = as_node(node)._evaluate(start_ns, spans)
-    return ServiceTimeline(start_ns=start_ns, total_ns=total, spans=spans)
-
-
 # ----------------------------------------------------------------------
 # Aggregation (Figure 8/18 reconstruction)
 # ----------------------------------------------------------------------
@@ -280,7 +128,7 @@ class StageTotals:
     critical_ns: float = 0.0
     #: Discarded speculative work (full stage cost).
     wasted_ns: float = 0.0
-    #: Completion time hidden under a longer parallel branch.
+    #: Completion time hidden under a longer race branch.
     slack_ns: float = 0.0
 
     @property
@@ -302,48 +150,23 @@ class StageAccounting:
         self._path_total_ns: Dict[str, float] = {}
         self._path_count: Dict[str, int] = {}
 
-    def record(self, path: str, timeline: ServiceTimeline) -> None:
-        stages = self._paths.setdefault(path, {})
-        for span in timeline.spans:
-            totals = stages.get(span.name)
-            if totals is None:
-                totals = stages[span.name] = StageTotals()
-            totals.count += 1
-            totals.total_ns += span.latency_ns
-            if span.critical:
-                totals.critical_ns += span.latency_ns
-            if span.wasted:
-                totals.wasted_ns += span.latency_ns
-            totals.slack_ns += span.slack_ns
-        self._path_total_ns[path] = (
-            self._path_total_ns.get(path, 0.0) + timeline.total_ns
-        )
-        self._path_count[path] = self._path_count.get(path, 0) + 1
-
-    def record_span(self, path: str, name: str, latency_ns: float,
-                    critical: bool, wasted: bool, slack_ns: float) -> None:
-        """Fast-path equivalent of one span's share of :meth:`record`.
-
-        Lets the zero-observer fast path aggregate without materializing
-        :class:`StageSpan`/:class:`ServiceTimeline` objects; pair with
-        :meth:`record_total` once per miss.
-        """
+    def record(self, path: str, spans: Iterable[SpanRecord],
+               total_ns: float) -> None:
+        """Aggregate one served miss: its span records and its latency."""
         stages = self._paths.get(path)
         if stages is None:
             stages = self._paths[path] = {}
-        totals = stages.get(name)
-        if totals is None:
-            totals = stages[name] = StageTotals()
-        totals.count += 1
-        totals.total_ns += latency_ns
-        if critical:
-            totals.critical_ns += latency_ns
-        if wasted:
-            totals.wasted_ns += latency_ns
-        totals.slack_ns += slack_ns
-
-    def record_total(self, path: str, total_ns: float) -> None:
-        """The per-miss path totals of :meth:`record` (fast-path half)."""
+        for name, _start, latency_ns, critical, wasted, slack_ns in spans:
+            totals = stages.get(name)
+            if totals is None:
+                totals = stages[name] = StageTotals()
+            totals.count += 1
+            totals.total_ns += latency_ns
+            if critical:
+                totals.critical_ns += latency_ns
+            if wasted:
+                totals.wasted_ns += latency_ns
+            totals.slack_ns += slack_ns
         self._path_total_ns[path] = self._path_total_ns.get(path, 0.0) + total_ns
         self._path_count[path] = self._path_count.get(path, 0) + 1
 

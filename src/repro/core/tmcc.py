@@ -31,13 +31,8 @@ from repro.core.base import (
 from repro.core.config import SystemConfig
 from repro.core.pipeline import (
     STAGE_CTE_FETCH,
-    STAGE_CTE_REPAIR,
-    STAGE_DATA_FETCH,
     STAGE_SPEC_DATA_FETCH,
-    PipelineNode,
-    Stage,
-    parallel,
-    serial,
+    SpanRecord,
 )
 from repro.core.twolevel import TwoLevelController
 from repro.dram.system import DRAMSystem
@@ -47,6 +42,36 @@ from repro.vm.ptbcodec import PTBCodec
 
 #: CTE Buffer capacity (Section V-A6: 64 entries, ~1 KB).
 CTE_BUFFER_ENTRIES = 64
+
+#: One branch of a race: its span records and its duration (ns).
+Branch = Tuple[Tuple[SpanRecord, ...], float]
+
+
+def race(first: Branch, second: Branch) -> Branch:
+    """Two branches started together; the miss waits for the longer.
+
+    Returns the combined span records and the race's duration.  The
+    longer branch wins (a tie goes to ``first``) and keeps its spans as
+    they are; the loser's spans leave the critical path, and the time
+    it finished ahead of the winner (its slack) is added to its last
+    span.
+    """
+    first_spans, first_ns = first
+    second_spans, second_ns = second
+    if first_ns >= second_ns:
+        return first_spans + _lost(second_spans, first_ns - second_ns), \
+            first_ns
+    return _lost(first_spans, second_ns - first_ns) + second_spans, second_ns
+
+
+def _lost(spans: Tuple[SpanRecord, ...],
+          slack: float) -> Tuple[SpanRecord, ...]:
+    lost = [(name, start, latency, False, wasted, span_slack)
+            for name, start, latency, _critical, wasted, span_slack in spans]
+    if slack > 0.0 and lost:
+        name, start, latency, critical, wasted, span_slack = lost[-1]
+        lost[-1] = (name, start, latency, critical, wasted, span_slack + slack)
+    return tuple(lost)
 
 
 @register_controller
@@ -157,120 +182,40 @@ class TMCCController(TwoLevelController):
     # Miss side: parallel speculative access (Figures 8b/8c, 11)
     # ------------------------------------------------------------------
 
-    def _translate_pipeline(self, ppn: int, cte: PageCTE,
-                            block_index: int) -> Tuple[PipelineNode, str]:
+    def _translate(self, ppn: int, cte: PageCTE, block_index: int,
+                   now_ns: float) -> Tuple[Tuple[SpanRecord, ...], float, str]:
         entry = self._cte_buffer.get(ppn)
         if entry is None or entry[0] is None:
             # Uncommon: no embedded CTE available -> serial, like prior work.
-            return super()._translate_pipeline(ppn, cte, block_index)
+            return super()._translate(ppn, cte, block_index, now_ns)
 
         snapshot, ptb_address = entry
+        in_ml2 = cte.in_ml2
+        cte_ns = self._fetch_cte(ppn, now_ns)
+        cte_fetch = (((STAGE_CTE_FETCH, now_ns, cte_ns, True, False, 0.0),),
+                     cte_ns)
         if snapshot == self._snapshot(ppn):
             # Common case (Figure 8b): the speculative data access races
             # the verifying CTE read; the miss pays only the longer leg.
-            pipeline = parallel(
-                self._cte_fetch_stage(ppn),
-                self._data_pipeline(ppn, cte, block_index),
-            )
-            return pipeline, PATH_ML2 if cte.in_ml2 else PATH_PARALLEL_OK
+            spans, total = race(
+                cte_fetch, self._fetch_data(ppn, cte, block_index, now_ns))
+            return spans, total, PATH_ML2 if in_ml2 else PATH_PARALLEL_OK
 
         # Mismatch (Figure 8c): the speculative DRAM access is wasted
         # work; the verify detects it, the block is re-fetched from the
         # page's true location, and the PTB's embedded copy is repaired
         # lazily off the critical path.
-        def spec_read(start_ns: float) -> float:
-            return self._dram_read_ns(
-                snapshot[0] * 4096 + block_index * 64, start_ns
-            )
-
-        def repair(_start_ns: float) -> float:
-            self._repair_embedded(ppn, ptb_address)
-            self.stats.counter("embedded_mismatches").increment()
-            return 0.0
-
-        pipeline = serial(
-            parallel(
-                self._cte_fetch_stage(ppn),
-                Stage(STAGE_SPEC_DATA_FETCH, spec_read, wasted=True),
-            ),
-            self._data_pipeline(ppn, cte, block_index),
-            Stage(STAGE_CTE_REPAIR, repair, record=False),
-        )
-        return pipeline, PATH_ML2 if cte.in_ml2 else PATH_PARALLEL_MISMATCH
-
-    def _translate_fast(self, ppn: int, cte: PageCTE, block_index: int,
-                        now_ns: float):
-        """Fast-path twin of :meth:`_translate_pipeline`.
-
-        Winner/slack bookkeeping replicates ``_Parallel._evaluate``: the
-        first maximal branch wins (``max``/``index`` semantics), losing
-        branches drop to non-critical, and their hidden completion time
-        lands on the branch's last recorded span.
-        """
-        entry = self._cte_buffer.get(ppn)
-        if entry is None or entry[0] is None:
-            return super()._translate_fast(ppn, cte, block_index, now_ns)
-
-        snapshot, ptb_address = entry
-        in_ml2 = cte.in_ml2
-        if snapshot == self._snapshot(ppn):
-            cte_lat = self._fetch_cte_fast(ppn, now_ns)
-            if in_ml2:
-                data_spans, data_dur = self._ml2_fast(ppn, cte, now_ns)
-                path = PATH_ML2
-            else:
-                data_dur = self._dram_read_fast(
-                    self._data_address(ppn, block_index), now_ns)
-                data_spans = ((STAGE_DATA_FETCH, data_dur, True, False, 0.0),)
-                path = PATH_PARALLEL_OK
-            if cte_lat >= data_dur:  # ties go to the first branch, like max()
-                duration = cte_lat
-                slack = duration - data_dur
-                spans = [(STAGE_CTE_FETCH, cte_lat, True, False, 0.0)]
-                last = len(data_spans) - 1
-                for index, (name, lat, _critical, wasted, span_slack) in \
-                        enumerate(data_spans):
-                    if index == last and slack > 0.0:
-                        span_slack += slack
-                    spans.append((name, lat, False, wasted, span_slack))
-            else:
-                duration = data_dur
-                slack = duration - cte_lat
-                spans = [(STAGE_CTE_FETCH, cte_lat, False, False,
-                          slack if slack > 0.0 else 0.0)]
-                spans.extend(data_spans)
-            return spans, duration, path
-
-        # Mismatch: parallel(cte, wasted spec read) then the real data
-        # access, then the lazy repair (record=False, zero latency).
-        cte_lat = self._fetch_cte_fast(ppn, now_ns)
-        spec_lat = self._dram_read_fast(
-            snapshot[0] * 4096 + block_index * 64, now_ns)
-        if cte_lat >= spec_lat:
-            head_dur = cte_lat
-            slack = head_dur - spec_lat
-            head = [(STAGE_CTE_FETCH, cte_lat, True, False, 0.0),
-                    (STAGE_SPEC_DATA_FETCH, spec_lat, False, True,
-                     slack if slack > 0.0 else 0.0)]
-        else:
-            head_dur = spec_lat
-            slack = head_dur - cte_lat
-            head = [(STAGE_CTE_FETCH, cte_lat, False, False,
-                     slack if slack > 0.0 else 0.0),
-                    (STAGE_SPEC_DATA_FETCH, spec_lat, True, True, 0.0)]
-        base_ns = now_ns + head_dur
-        if in_ml2:
-            data_spans, data_dur = self._ml2_fast(ppn, cte, base_ns)
-            path = PATH_ML2
-        else:
-            data_dur = self._dram_read_fast(
-                self._data_address(ppn, block_index), base_ns)
-            data_spans = ((STAGE_DATA_FETCH, data_dur, True, False, 0.0),)
-            path = PATH_PARALLEL_MISMATCH
-        head.extend(data_spans)
+        spec_ns = self._dram_read_ns(snapshot[0] * 4096 + block_index * 64,
+                                     now_ns)
+        head, head_ns = race(cte_fetch, (
+            ((STAGE_SPEC_DATA_FETCH, now_ns, spec_ns, True, True, 0.0),),
+            spec_ns))
+        data_spans, data_ns = self._fetch_data(ppn, cte, block_index,
+                                               now_ns + head_ns)
         self._repair_embedded(ppn, ptb_address)
         self.stats.counter("embedded_mismatches").value += 1
-        return head, head_dur + data_dur, path
+        return (head + data_spans, head_ns + data_ns,
+                PATH_ML2 if in_ml2 else PATH_PARALLEL_MISMATCH)
 
     def _repair_embedded(self, ppn: int, ptb_address: int) -> None:
         """Piggybacked-response repair (Section V-A3, last paragraph)."""

@@ -10,14 +10,12 @@ Translation reach per block is what separates the designs (Table III):
 
 The cache is indexed by CTE-block number = ppn // pages_per_block.
 
-Storage is columnar (:class:`repro.common.lru.IntLRU`);
-``ReferenceCTECache`` keeps the ``OrderedDict`` original as the
-readable spec and differential-test oracle.
+Storage is columnar (:class:`repro.common.lru.IntLRU`); the original
+``OrderedDict`` cache lives on in ``tests/oracles.py`` as the
+differential-test oracle.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from repro.common.lru import IntLRU
 from repro.common.stats import RatioStat
@@ -52,11 +50,13 @@ class CTECache:
     def lookup(self, ppn: int) -> bool:
         """Probe for the CTE of page ``ppn``; records hit/miss."""
         block = ppn // self.pages_per_block
-        hit = block in self._lru
-        self.stats.record(hit)
-        if hit:
+        stats = self.stats
+        stats.total += 1
+        if block in self._lru:
+            stats.hits += 1
             self._lru.move_to_end(block)
-        return hit
+            return True
+        return False
 
     def contains(self, ppn: int) -> bool:
         """Probe without recording a stat."""
@@ -82,63 +82,6 @@ class CTECache:
 
     def invalidate_page(self, ppn: int) -> None:
         self._lru.discard(ppn // self.pages_per_block)
-
-    def flush(self) -> None:
-        self._lru.clear()
-
-    @property
-    def occupancy_blocks(self) -> int:
-        return len(self._lru)
-
-
-class ReferenceCTECache:
-    """The original ``OrderedDict`` CTE cache (spec + oracle)."""
-
-    def __init__(self, size_bytes: int = 64 * KIB, cte_size: int = 8,
-                 name: str = "cte_cache") -> None:
-        if cte_size <= 0 or BLOCK_SIZE % cte_size:
-            raise ValueError(f"cte_size must divide {BLOCK_SIZE}, got {cte_size}")
-        if size_bytes < BLOCK_SIZE:
-            raise ValueError("cache smaller than one CTE block")
-        self.size_bytes = size_bytes
-        self.cte_size = cte_size
-        self.pages_per_block = BLOCK_SIZE // cte_size
-        self.capacity_blocks = size_bytes // BLOCK_SIZE
-        self._lru: "OrderedDict[int, bool]" = OrderedDict()
-        self.stats = RatioStat(name)
-
-    @property
-    def reach_pages(self) -> int:
-        return self.capacity_blocks * self.pages_per_block
-
-    def _block_of(self, ppn: int) -> int:
-        return ppn // self.pages_per_block
-
-    def lookup(self, ppn: int) -> bool:
-        block = self._block_of(ppn)
-        hit = block in self._lru
-        self.stats.record(hit)
-        if hit:
-            self._lru.move_to_end(block)
-        return hit
-
-    def contains(self, ppn: int) -> bool:
-        return self._block_of(ppn) in self._lru
-
-    def fill(self, ppn: int) -> "int | None":
-        lru = self._lru
-        block = ppn // self.pages_per_block
-        if block in lru:
-            lru.move_to_end(block)
-            return None
-        victim = None
-        if len(lru) >= self.capacity_blocks:
-            victim, _ = lru.popitem(last=False)
-        lru[block] = True
-        return victim
-
-    def invalidate_page(self, ppn: int) -> None:
-        self._lru.pop(self._block_of(ppn), None)
 
     def flush(self) -> None:
         self._lru.clear()

@@ -4,14 +4,13 @@
 identical to ``Simulator.run`` + ``Simulator._one_access`` -- same stat
 mutations, same RNG draw sequence, same DRAM bank/queue evolution, same
 float accumulation order -- but with every observer hook removed and the
-per-access object graph (``AccessResult``, ``MissResult``,
-``ServiceTimeline``, ``ReadResult``) elided:
+per-access records (``AccessResult``, ``ServiceTimeline``) never built:
 
 * the trace is preprocessed column-wise (vpn / TLB tag / block index
   arrays via numpy when available);
-* TLB lookup/fill and the cache hierarchy run through inlined or
-  allocation-free twins (``CacheHierarchy.access_fast``,
-  ``MemoryController.serve_l3_miss_fast``);
+* the TLB, the page walk and the L1 probe are inlined; below the L1
+  the loop calls the same code as the instrumented loop
+  (``CacheHierarchy.access_fast``, ``MemoryController.serve_l3_miss``);
 * every invariant attribute lookup is hoisted out of the loop into a
   bound local, and cache-level latencies are precomputed per hit level.
 
@@ -49,14 +48,10 @@ def run_fast(sim, state) -> None:
     compute_ns = config.cycles_to_ns(sim.workload.compute_cycles_per_access)
     mlp = config.mlp_stall_factor
 
-    # Per-hit-level stall latencies: same integer cycle counts as the
-    # slow path feeds cycles_to_ns, so the floats are bit-identical.
-    cache_config = sim.hierarchy.config
-    l1_cycles = cache_config.l1_latency
-    l2_cycles = l1_cycles + cache_config.l2_latency
-    l3_cycles = l2_cycles + cache_config.l3_latency
-    lat = (config.cycles_to_ns(l1_cycles), config.cycles_to_ns(l2_cycles),
-           config.cycles_to_ns(l3_cycles), config.cycles_to_ns(l3_cycles))
+    # Per-hit-level stall latencies: the same integer cycle counts the
+    # instrumented loop feeds cycles_to_ns, so the floats are identical.
+    lat = tuple(config.cycles_to_ns(cycles)
+                for cycles in sim.hierarchy._level_cycles)
 
     huge_pages = sim.huge_pages
     vpns, tags, blocks, writes = trace_columns(trace, huge_pages)
@@ -83,7 +78,7 @@ def run_fast(sim, state) -> None:
     tlb_entries = tlb.entries
     tlb_stats = tlb.stats
     controller = sim.controller
-    serve_fast = controller.serve_l3_miss_fast
+    serve_miss = controller.serve_l3_miss
     serve_writeback = controller.serve_writeback
     hierarchy = sim.hierarchy
     access_fast = hierarchy.access_fast
@@ -163,7 +158,7 @@ def run_fast(sim, state) -> None:
             # Inner: within the TLB-hit run, all-(mapped ∧ L1 hit)
             # windows batch the same way; L1 *membership* only changes on
             # a miss, so each window is valid up to its first predicted
-            # miss and the residue access runs through a per-access twin
+            # miss and the residue access runs through a per-access copy
             # of the data tail, after which the window re-classifies.
             # Chunks never straddle the warmup boundary.  Final state is
             # identical to the scalar loop's: recency moves collapse to
@@ -264,7 +259,7 @@ def run_fast(sim, state) -> None:
                                     stall += lat[hit_level]
                                     if hit_level == 3:
                                         l3_data_misses += 1
-                                        latency, path = serve_fast(
+                                        latency, path, _ = serve_miss(
                                             block >> 6, block & 63,
                                             now + stall, is_write)
                                         stall += latency
@@ -283,7 +278,7 @@ def run_fast(sim, state) -> None:
                     if tp == span:
                         continue
                     # else: the access at ``index`` is a known TLB miss;
-                    # fall through to the full per-access twin.
+                    # fall through to the full per-access path.
 
             now += compute_ns
 
@@ -328,7 +323,7 @@ def run_fast(sim, state) -> None:
                                                 True, writebacks)
                         stall += lat[hit_level]
                         if hit_level == 3:
-                            latency, path = serve_fast(
+                            latency, path, _ = serve_miss(
                                 ptb_address >> 12, (ptb_address >> 6) & 63,
                                 now + stall, False)
                             stall += latency
@@ -376,7 +371,7 @@ def run_fast(sim, state) -> None:
                     stall += lat[hit_level]
                     if hit_level == 3:
                         l3_data_misses += 1
-                        latency, path = serve_fast(block >> 6, block & 63,
+                        latency, path, _ = serve_miss(block >> 6, block & 63,
                                                    now + stall, is_write)
                         stall += latency
                         if path != PATH_CTE_HIT:

@@ -186,8 +186,7 @@ class MultiCoreSimulator:
         warmup = int(len(self.workload.trace) * warmup_fraction)
         positions = [0] * self.num_cores
         executed = 0
-        measured = 0
-        measure_start = None
+        measure_start = 0.0
         while True:
             # The least-advanced core with work remaining executes next;
             # that's how concurrent streams interleave at the shared MC.
@@ -198,19 +197,20 @@ class MultiCoreSimulator:
             core = min(candidates, key=lambda c: c.now_ns)
             vaddr, is_write = streams[core.index][positions[core.index]]
             positions[core.index] += 1
-            executed += 1
             if executed == warmup:
+                # Statistics cover the post-warm-up accesses only, like
+                # Simulator.run.
+                self.context.reset_metrics()
                 measure_start = max(c.now_ns for c in self.cores)
+            executed += 1
             core.now_ns += compute_ns
             stall = self._one_access(core, vaddr, is_write)
             core.now_ns += stall * self.system.mlp_stall_factor
-            if executed > warmup:
-                measured += 1
 
         end = max(c.now_ns for c in self.cores)
         self.context.clock.now_ns = end
-        elapsed = end - (measure_start or 0.0)
-        return self._result(measured, max(1.0, elapsed))
+        elapsed = end - measure_start
+        return self._result(max(0, executed - warmup), max(1.0, elapsed))
 
     def _one_access(self, core: _Core, vaddr: int, is_write: bool) -> float:
         system = self.system

@@ -494,12 +494,8 @@ class Simulator:
         stall_ns += config.cycles_to_ns(result.latency_cycles)
         if result.l3_miss:
             self._l3_data_misses += 1
-            miss = self.controller.serve_l3_miss(
-                ppn, block_index, self.clock.now_ns + stall_ns, is_write
-            )
-            stall_ns += miss.latency_ns
-            self._trace_miss(miss, kind="data", ppn=ppn)
-            self._track_fig5(miss.path, after_tlb=tlb_missed)
+            stall_ns += self._serve_miss(ppn, block_index, stall_ns,
+                                         is_write, "data", tlb_missed)
         self._drain_writebacks(result.dram_writebacks, stall_ns)
         return stall_ns
 
@@ -517,14 +513,9 @@ class Simulator:
             result = self.hierarchy.access(ptb_address, is_ptb=True)
             stall_ns += config.cycles_to_ns(result.latency_cycles)
             if result.l3_miss:
-                miss = self.controller.serve_l3_miss(
-                    ptb_address >> 12, (ptb_address >> 6) & 63,
-                    self.clock.now_ns + stall_ns, False,
-                )
-                stall_ns += miss.latency_ns
-                self._trace_miss(miss, kind="ptb", ppn=ptb_address >> 12,
-                                 level=level)
-                self._track_fig5(miss.path, after_tlb=True)
+                stall_ns += self._serve_miss(
+                    ptb_address >> 12, (ptb_address >> 6) & 63, stall_ns,
+                    False, "ptb", True, level)
             self._drain_writebacks(result.dram_writebacks, stall_ns)
             huge_leaf = walk.huge and level == 2
             self.controller.note_ptb_fetch(
@@ -551,14 +542,9 @@ class Simulator:
             result = self.hierarchy.access(address, is_ptb=True)
             stall_ns += config.cycles_to_ns(result.latency_cycles)
             if result.l3_miss:
-                miss = self.controller.serve_l3_miss(
-                    address >> 12, (address >> 6) & 63,
-                    self.clock.now_ns + stall_ns, False,
-                )
-                stall_ns += miss.latency_ns
-                self._trace_miss(miss, kind=f"ptb_{kind}",
-                                 ppn=address >> 12, level=level)
-                self._track_fig5(miss.path, after_tlb=True)
+                stall_ns += self._serve_miss(
+                    address >> 12, (address >> 6) & 63, stall_ns, False,
+                    f"ptb_{kind}", True, level)
             self._drain_writebacks(result.dram_writebacks, stall_ns)
             if kind == HOST_FETCH:
                 self.controller.note_ptb_fetch(
@@ -567,32 +553,47 @@ class Simulator:
                 )
         return stall_ns
 
-    def _trace_miss(self, miss, kind: str, ppn: int,
-                    level: int = -1) -> None:
-        """Promote a served miss's pipeline timeline into the open trace."""
+    def _serve_miss(self, ppn: int, block_index: int, stall_ns: float,
+                    is_write: bool, kind: str, after_tlb: bool,
+                    level: int = -1) -> float:
+        """Serve an LLC miss issued ``stall_ns`` into the current access.
+
+        Every miss of the instrumented loop comes through here: it is
+        timed under ``profile.controller.serve_miss`` when profiling,
+        promoted into the open trace when a tracer samples the access,
+        and counted toward Figure 5.  Returns the miss latency.
+        """
+        controller = self.controller
+        now_ns = self.clock.now_ns + stall_ns
+        profiler = self.context.profiler
+        if profiler is None:
+            miss = controller.serve_l3_miss(ppn, block_index, now_ns, is_write)
+        else:
+            profiler.begin("controller.serve_miss")
+            try:
+                miss = controller.serve_l3_miss(ppn, block_index, now_ns,
+                                                is_write)
+            finally:
+                profiler.end()
         tracer = self.tracer
-        if tracer is None or not tracer.active or miss.timeline is None:
-            return
-        args = {"path": miss.path, "kind": kind, "ppn": ppn,
-                "in_ml2": miss.in_ml2}
-        if level >= 0:
-            args["level"] = level
-        tracer.add_timeline("llc_miss", miss.timeline, **args)
+        if tracer is not None and tracer.active:
+            args = {"path": miss.path, "kind": kind, "ppn": ppn,
+                    "in_ml2": miss.in_ml2}
+            if level >= 0:
+                args["level"] = level
+            tracer.add_timeline("llc_miss", miss.timeline, **args)
+        if miss.path != PATH_CTE_HIT:
+            # Every non-hit path (ML2 included) was a real CTE-cache miss.
+            self._fig5_cte_misses += 1
+            if after_tlb:
+                self._fig5_after_tlb += 1
+        return miss.latency_ns
 
     def _drain_writebacks(self, blocks, stall_ns: float) -> None:
         for block in blocks:
             self.controller.serve_writeback(
                 block >> 6, block & 63, self.clock.now_ns + stall_ns
             )
-
-    def _track_fig5(self, path: str, after_tlb: bool) -> None:
-        if path in (PATH_CTE_HIT,):
-            return
-        # PATH_ML2 accesses also consulted the CTE path; only count real
-        # CTE-cache misses, which every non-hit path represents.
-        self._fig5_cte_misses += 1
-        if after_tlb:
-            self._fig5_after_tlb += 1
 
     # ------------------------------------------------------------------
     # Statistics plumbing

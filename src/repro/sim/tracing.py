@@ -4,9 +4,9 @@ Aggregate metrics say *how much* translation latency a run paid; spans
 say *where each nanosecond went* on individual accesses.  Every sampled
 trace access becomes one **trace**: a root ``access`` span whose
 children are the page walk, each LLC-miss service (with the miss's
-evaluated :class:`~repro.core.pipeline.ServiceTimeline` promoted into
-per-stage child spans, preserving the parallel structure of TMCC's
-speculative verify), and instant markers for migrations and injected
+:class:`~repro.core.pipeline.ServiceTimeline` promoted into per-stage
+child spans, preserving the parallel structure of TMCC's speculative
+verify), and instant markers for migrations and injected
 faults.  Spans carry ``trace_id`` / ``span_id`` / ``parent_id`` linkage,
 so consumers can rebuild the causal tree without relying on timestamps.
 
@@ -199,13 +199,13 @@ class SpanTracer:
 
     def add_timeline(self, name: str, timeline: ServiceTimeline,
                      **args: object) -> None:
-        """Promote an evaluated service timeline into a span subtree.
+        """Promote a miss's service timeline into a span subtree.
 
         The timeline becomes one ``category="miss"`` span under the
         current open span, with one ``category="stage"`` child per
         :class:`~repro.core.pipeline.StageSpan`.  Stage spans keep their
-        absolute placement, so parallel branches (TMCC's speculative
-        ``parallel(cte_fetch, data_fetch)``) share a start time and a
+        absolute placement, so racing branches (TMCC's speculative
+        ``cte_fetch`` and ``data_fetch``) share a start time and a
         parent -- the structure survives into the export.
         """
         if not self.active:

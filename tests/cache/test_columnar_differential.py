@@ -10,11 +10,8 @@ line metadata, stats, occupancy, and the resident-block set.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.sa_cache import (
-    CacheLine,
-    ReferenceSetAssociativeCache,
-    SetAssociativeCache,
-)
+from repro.cache.sa_cache import CacheLine, SetAssociativeCache
+from tests.oracles import ReferenceSetAssociativeCache
 
 # Small geometry so sequences of ~100 ops exercise eviction constantly:
 # 8 sets x 2 ways = 16 resident blocks.

@@ -113,7 +113,8 @@ def test_mark_compressed_and_served_flag():
     h.access(addr(3 + 2 * sets_l1))
     result = h.access(addr(3))
     assert result.hit_level in ("l2", "l3")
-    assert result.served_compressed
+    # The flag travels up with the served line.
+    assert h.l1.peek(3).compressed
 
 
 def test_resident_line_and_invalidate_everywhere():

@@ -5,21 +5,22 @@ Two properties keep the replay loop cheap:
 1. the per-access record types carry ``__slots__`` (no ``__dict__``),
    so the millions of short-lived instances a slow run creates stay
    small -- pinned here with a tracemalloc footprint measurement;
-2. the zero-observer fast loop elides that object graph entirely --
-   pinned by counting constructions of the slow path's record objects
-   during a fast run.
+2. the zero-observer fast loop builds none of those records, and the
+   instrumented loop builds a miss's timeline only for a span tracer --
+   pinned by counting constructions of the record objects.
 """
 
 import tracemalloc
 
 import pytest
 
-from repro.cache.hierarchy import AccessResult, CacheHierarchy
+from repro.cache.hierarchy import AccessResult
 from repro.cache.sa_cache import CacheLine
 from repro.core.base import MissResult
-from repro.core.twolevel import TwoLevelController
+from repro.core.pipeline import ServiceTimeline, StageSpan
 from repro.dram.system import ReadResult
 from repro.sim.simulator import Simulator
+from repro.sim.tracing import SpanTracer
 from repro.workloads.suite import workload_by_name
 
 HOT_INSTANCES = [
@@ -50,29 +51,51 @@ def test_cacheline_allocation_footprint():
     assert per_instance < 120, f"{per_instance:.0f} bytes per CacheLine"
 
 
+def count_records(monkeypatch):
+    """Count constructions of the per-access record types."""
+    counts = {cls.__name__: 0
+              for cls in (AccessResult, ServiceTimeline, StageSpan)}
+    for cls in (AccessResult, ServiceTimeline, StageSpan):
+        original = cls.__init__
+
+        def counting_init(self, *args, _original=original,
+                          _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return counts
+
+
 def test_fast_loop_constructs_no_per_access_records(monkeypatch):
-    """The fast loop must never reach the allocating slow-path entry
-    points (``CacheHierarchy.access`` -> AccessResult,
-    ``serve_l3_miss`` -> MissResult/ServiceTimeline)."""
-    calls = {"access": 0, "miss": 0}
-    slow_access = CacheHierarchy.access
-    slow_miss = TwoLevelController.serve_l3_miss
-
-    def counting_access(self, *args, **kwargs):
-        calls["access"] += 1
-        return slow_access(self, *args, **kwargs)
-
-    def counting_miss(self, *args, **kwargs):
-        calls["miss"] += 1
-        return slow_miss(self, *args, **kwargs)
-
-    monkeypatch.setattr(CacheHierarchy, "access", counting_access)
-    monkeypatch.setattr(TwoLevelController, "serve_l3_miss", counting_miss)
-
+    """The fast loop shares the miss path with the instrumented loop
+    but must never build the per-access record objects:
+    ``AccessResult`` (``CacheHierarchy.access``) or a miss's
+    ``ServiceTimeline``/``StageSpan`` decomposition."""
+    counts = count_records(monkeypatch)
     workload = workload_by_name("omnetpp", max_accesses=2_000, scale=0.05)
-    Simulator(workload, controller="tmcc", seed=3, fast_path="on").run()
-    assert calls == {"access": 0, "miss": 0}
+    result = Simulator(workload, controller="tmcc", seed=3,
+                       fast_path="on").run()
+    assert result.l3_misses > 0
+    assert counts == {"AccessResult": 0, "ServiceTimeline": 0,
+                      "StageSpan": 0}
 
     Simulator(workload, controller="tmcc", seed=3, fast_path="off").run()
-    assert calls["access"] > 0
-    assert calls["miss"] > 0
+    assert counts["AccessResult"] > 0
+
+
+def test_untraced_instrumented_run_builds_no_timeline(monkeypatch):
+    """Timelines are built from span records only for an active span
+    tracer; an untraced instrumented run builds none."""
+    counts = count_records(monkeypatch)
+    workload = workload_by_name("omnetpp", max_accesses=2_000, scale=0.05)
+    Simulator(workload, controller="tmcc", seed=3, fast_path="off").run()
+    assert counts["AccessResult"] > 0
+    assert counts["ServiceTimeline"] == 0
+    assert counts["StageSpan"] == 0
+
+    traced = Simulator(workload, controller="tmcc", seed=3)
+    traced.attach_tracer(SpanTracer(sample_every=1))
+    traced.run()
+    assert counts["ServiceTimeline"] > 0
+    assert counts["StageSpan"] > 0

@@ -71,3 +71,14 @@ def test_multicore_vs_singlecore_same_memory_system(workload):
     multi = MultiCoreSimulator(workload, num_cores=1,
                                controller="compresso").run()
     assert multi.cte_hit_rate == pytest.approx(single.cte_hit_rate, abs=0.15)
+
+
+def test_warmup_is_excluded_from_statistics():
+    """Every reported statistic covers the measured accesses only: each
+    access makes one TLB lookup, so the per-core TLB totals sum to the
+    measured access count."""
+    workload = workload_by_name("mcf", max_accesses=1000, scale=0.12)
+    sim = MultiCoreSimulator(workload, num_cores=2, controller="tmcc")
+    result = sim.run()
+    assert result.accesses == 800
+    assert sum(core.tlb.stats.total for core in sim.cores) == result.accesses

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.core.pipeline import Stage, evaluate, parallel, serial
+from repro.core.pipeline import ServiceTimeline
 from repro.sim.instrument import EventBus
 from repro.sim.tracing import (
     CATEGORY_MISS,
@@ -84,13 +84,12 @@ def test_head_tail_retention_keeps_first_and_last():
 
 
 def test_timeline_promotion_preserves_parallel_structure():
-    timeline = evaluate(
-        serial(
-            Stage("metadata", 10.0),
-            parallel(Stage("cte_fetch", 30.0), Stage("data_fetch", 50.0)),
-        ),
-        start_ns=200.0,
-    )
+    # A 10 ns serial stage, then cte_fetch racing data_fetch (which wins).
+    timeline = ServiceTimeline.from_spans(200.0, 60.0, (
+        ("metadata", 200.0, 10.0, True, False, 0.0),
+        ("cte_fetch", 210.0, 30.0, False, False, 20.0),
+        ("data_fetch", 210.0, 50.0, True, False, 0.0),
+    ))
     tracer = SpanTracer()
     tracer.begin_access(200.0, index=0)
     tracer.add_timeline("llc_miss", timeline, path="parallel_ok", kind="data")
