@@ -29,7 +29,9 @@ class NextLinePrefetcher:
     Usefulness is tracked over a sliding window of issued prefetches; when
     fewer than ``min_accuracy`` of the last ``window`` prefetched blocks
     were demanded, the prefetcher turns itself off (and re-evaluates after
-    another window of misses).
+    another window of misses).  This class holds the state; the demand
+    training and miss handling run inlined in ``CacheHierarchy``'s
+    access path.
     """
 
     name = "next_line"
@@ -46,27 +48,6 @@ class NextLinePrefetcher:
     @property
     def enabled(self) -> bool:
         return self._enabled
-
-    def train_demand(self, block: int) -> None:
-        """A demand access; credits the prefetch that predicted it."""
-        if block in self._outstanding:
-            self._outstanding[block] = True
-
-    def on_miss(self, block: int) -> List[int]:
-        """Return blocks to prefetch for a demand miss at ``block``."""
-        outstanding = self._outstanding
-        if len(outstanding) > self.window:
-            self._retire_oldest_if_full()
-        if not self._enabled:
-            self._cooloff += 1
-            if self._cooloff >= self.window:
-                self._enabled = True
-                self._cooloff = 0
-                self._recent_results.clear()
-            return []
-        target = block + 1
-        outstanding[target] = False
-        return [target]
 
     def _retire_oldest_if_full(self) -> None:
         outstanding = self._outstanding

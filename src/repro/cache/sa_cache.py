@@ -5,31 +5,33 @@ bit TMCC adds to every L2/L3 line to mark compressed-PTB encoding,
 Section V-A4) and ``is_ptb`` (whether the line was brought in by the page
 walker -- hardware knows this from the requester ID).
 
-State is *columnar* (structure-of-arrays): one global ``block -> slot``
-index, flat parallel ``tags``/``dirty``/``compressed``/``is_ptb``
-columns indexed by slot (``slot = set * associativity + way``), and a
-per-set recency *order list* of slots (LRU first).  The fast replay loop
-reads the columns directly and batch-classifies whole trace chunks
-against the ``tags`` column (``docs/performance.md``).  The original
-per-entry-object implementation (an ``OrderedDict`` of
+State is *block-keyed*: one global ``block -> flags`` dict holding every
+resident block with its metadata bit-packed into an int (:data:`DIRTY`,
+:data:`COMPRESSED`, :data:`PTB`), and a per-set recency *order list* of
+blocks (LRU first).  The hierarchy's fill cascade and the fast replay
+loop read and write the two directly (``docs/performance.md``);
+:class:`CacheLine` objects are built only at the public API.  The
+original per-entry-object implementation (an ``OrderedDict`` of
 :class:`CacheLine` per set) lives on in ``tests/oracles.py`` as the
 oracle of the differential property tests in
 ``tests/cache/test_columnar_differential.py``.
-
-The ``tags`` column is an ``array('q')`` so numpy can view it zero-copy;
-a block number beyond int64 (never produced by the simulator, but the
-API stays total) demotes the column to a plain list and disables the
-numpy view for that cache.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from repro.common.stats import RatioStat
 from repro.common.units import BLOCK_SIZE
+
+#: Line flag bits, as packed into the values of ``SetAssociativeCache._index``.
+DIRTY = 1
+COMPRESSED = 2
+PTB = 4
+#: Bits a refresh in place keeps from the resident line: dirty and PTB OR
+#: in, the compressed bit is overwritten by the incoming fill.
+KEEP_ON_REFRESH = DIRTY | PTB
 
 
 @dataclass(slots=True)
@@ -42,8 +44,15 @@ class CacheLine:
     is_ptb: bool = False
 
 
+def _line(block: int, flags: int) -> CacheLine:
+    """A detached :class:`CacheLine` for ``block`` with packed ``flags``."""
+    return CacheLine(block, dirty=bool(flags & DIRTY),
+                     compressed=bool(flags & COMPRESSED),
+                     is_ptb=bool(flags & PTB))
+
+
 class SetAssociativeCache:
-    """LRU set-associative cache over 64 B blocks, columnar storage."""
+    """LRU set-associative cache over 64 B blocks, block-keyed storage."""
 
     def __init__(self, size_bytes: int, associativity: int, name: str = "cache") -> None:
         if size_bytes % (BLOCK_SIZE * associativity):
@@ -57,23 +66,10 @@ class SetAssociativeCache:
         self.num_sets = size_bytes // (BLOCK_SIZE * associativity)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError(f"{name}: number of sets must be a power of two")
-        slots = self.num_sets * associativity
-        #: block -> slot for every resident block (the membership probe).
+        #: block -> packed flags for every resident block.
         self._index: dict = {}
-        #: slot -> block; -1 marks an empty slot.  ``array('q')`` so the
-        #: batched fast path can view it as an int64 matrix.
-        self._tags = array("q", [-1]) * slots
-        self._dirty = bytearray(slots)
-        self._compressed = bytearray(slots)
-        self._is_ptb = bytearray(slots)
-        #: Per-set recency order: slot ids, LRU first, MRU last.
+        #: Per-set recency order: resident blocks, LRU first, MRU last.
         self._orders: List[List[int]] = [[] for _ in range(self.num_sets)]
-        #: Per-set free-slot stacks (lowest slot allocated first).
-        assoc = associativity
-        self._free: List[List[int]] = [
-            list(range((s + 1) * assoc - 1, s * assoc - 1, -1))
-            for s in range(self.num_sets)
-        ]
         self.stats = RatioStat(name)
 
     # ------------------------------------------------------------------
@@ -82,22 +78,23 @@ class SetAssociativeCache:
 
     def lookup(self, block: int, is_write: bool = False) -> Optional[CacheLine]:
         """Probe; on hit, updates recency (and dirty for writes)."""
-        slot = self._index.get(block)
-        self.stats.record(slot is not None)
-        if slot is None:
+        flags = self._index.get(block)
+        self.stats.record(flags is not None)
+        if flags is None:
             return None
         order = self._orders[block & (self.num_sets - 1)]
-        if order[-1] != slot:
-            order.remove(slot)
-            order.append(slot)
+        if order[-1] != block:
+            order.remove(block)
+            order.append(block)
         if is_write:
-            self._dirty[slot] = 1
-        return self._line_at(slot)
+            flags |= DIRTY
+            self._index[block] = flags
+        return _line(block, flags)
 
     def peek(self, block: int) -> Optional[CacheLine]:
         """Probe without side effects (no stats, no recency update)."""
-        slot = self._index.get(block)
-        return None if slot is None else self._line_at(slot)
+        flags = self._index.get(block)
+        return None if flags is None else _line(block, flags)
 
     def contains(self, block: int) -> bool:
         return block in self._index
@@ -109,63 +106,42 @@ class SetAssociativeCache:
     def fill(self, block: int, dirty: bool = False, compressed: bool = False,
              is_ptb: bool = False) -> Optional[CacheLine]:
         """Insert a block; returns the evicted line, if any."""
+        flags = ((DIRTY if dirty else 0) | (COMPRESSED if compressed else 0)
+                 | (PTB if is_ptb else 0))
         index = self._index
-        slot = index.get(block)
-        if slot is not None:  # refresh in place
-            order = self._orders[block & (self.num_sets - 1)]
-            if order[-1] != slot:
-                order.remove(slot)
-                order.append(slot)
-            if dirty:
-                self._dirty[slot] = 1
-            self._compressed[slot] = 1 if compressed else 0
-            if is_ptb:
-                self._is_ptb[slot] = 1
+        order = self._orders[block & (self.num_sets - 1)]
+        old = index.get(block)
+        if old is not None:  # refresh in place
+            if order[-1] != block:
+                order.remove(block)
+                order.append(block)
+            index[block] = (old & KEEP_ON_REFRESH) | flags
             return None
-        set_index = block & (self.num_sets - 1)
-        order = self._orders[set_index]
         victim: Optional[CacheLine] = None
         if len(order) >= self.associativity:
-            slot = order.pop(0)
-            victim = self._line_at(slot)
-            del index[victim.block]
-        else:
-            slot = self._free[set_index].pop()
-        self._store_tag(slot, block)
-        self._dirty[slot] = 1 if dirty else 0
-        self._compressed[slot] = 1 if compressed else 0
-        self._is_ptb[slot] = 1 if is_ptb else 0
-        index[block] = slot
-        order.append(slot)
+            victim_block = order.pop(0)
+            victim = _line(victim_block, index.pop(victim_block))
+        index[block] = flags
+        order.append(block)
         return victim
 
     def invalidate(self, block: int) -> Optional[CacheLine]:
         """Remove a block (used for inclusive/exclusive maintenance)."""
-        slot = self._index.pop(block, None)
-        if slot is None:
+        flags = self._index.pop(block, None)
+        if flags is None:
             return None
-        line = self._line_at(slot)
-        set_index = block & (self.num_sets - 1)
-        self._orders[set_index].remove(slot)
-        self._free[set_index].append(slot)
-        self._tags[slot] = -1
-        return line
+        self._orders[block & (self.num_sets - 1)].remove(block)
+        return _line(block, flags)
 
     def flush(self) -> List[CacheLine]:
         """Drop everything; returns the dirty lines that would write back."""
-        dirty_lines: List[CacheLine] = []
-        dirty = self._dirty
-        for set_index, order in enumerate(self._orders):
-            for slot in order:
-                if dirty[slot]:
-                    dirty_lines.append(self._line_at(slot))
-            if order:
-                free = self._free[set_index]
-                for slot in order:
-                    self._tags[slot] = -1
-                    free.append(slot)
-                del order[:]
-        self._index.clear()
+        index = self._index
+        dirty_lines = [_line(block, index[block])
+                       for order in self._orders for block in order
+                       if index[block] & DIRTY]
+        for order in self._orders:
+            del order[:]
+        index.clear()
         return dirty_lines
 
     # ------------------------------------------------------------------
@@ -179,27 +155,3 @@ class SetAssociativeCache:
     def blocks(self) -> Iterator[int]:
         """All resident block numbers (no recency effect, any order)."""
         return iter(self._index)
-
-    def _line_at(self, slot: int) -> CacheLine:
-        """Materialize the slot's metadata as a detached :class:`CacheLine`."""
-        return CacheLine(self._tags[slot], dirty=bool(self._dirty[slot]),
-                         compressed=bool(self._compressed[slot]),
-                         is_ptb=bool(self._is_ptb[slot]))
-
-    def _store_tag(self, slot: int, block: int) -> None:
-        try:
-            self._tags[slot] = block
-        except OverflowError:  # beyond int64: demote to a plain list
-            self._tags = list(self._tags)
-            self._tags[slot] = block
-
-    def tags_matrix(self):
-        """numpy ``(num_sets, assoc)`` int64 view of the tags column, or
-        ``None`` (numpy missing/masked, or the column was demoted)."""
-        from repro.common.numpy_compat import numpy_or_none
-
-        np = numpy_or_none()
-        if np is None or not isinstance(self._tags, array):
-            return None
-        return np.frombuffer(self._tags, dtype=np.int64).reshape(
-            self.num_sets, self.associativity)

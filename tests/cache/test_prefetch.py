@@ -1,5 +1,10 @@
-"""Unit tests for the prefetchers."""
+"""Unit tests for the prefetchers.
 
+The next-line prefetcher's miss handling runs inlined in
+``CacheHierarchy``, so its tests drive a hierarchy.
+"""
+
+from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.prefetch import NextLinePrefetcher, StridePrefetcher
 
 
@@ -7,44 +12,58 @@ from repro.cache.prefetch import NextLinePrefetcher, StridePrefetcher
 # Next-line
 # ----------------------------------------------------------------------
 
+def hierarchy_with_next_line(window=64, min_accuracy=0.25):
+    hierarchy = CacheHierarchy()
+    hierarchy._next_line = NextLinePrefetcher(window, min_accuracy)
+    return hierarchy
+
+
+def miss(hierarchy, block):
+    assert hierarchy.access(block << 6).hit_level != "l1"
+
+
 def test_next_line_prefetches_block_plus_one():
-    prefetcher = NextLinePrefetcher()
-    assert prefetcher.on_miss(100) == [101]
+    hierarchy = hierarchy_with_next_line()
+    miss(hierarchy, 100)
+    assert hierarchy.l2.contains(101)
+    assert not hierarchy.l1.contains(101)
+    assert hierarchy.access(101 << 6).hit_level == "l2"
 
 
 def test_next_line_turns_off_when_useless():
-    prefetcher = NextLinePrefetcher(window=16, min_accuracy=0.5)
+    hierarchy = hierarchy_with_next_line(window=16, min_accuracy=0.5)
     # Misses all over the place; none of the prefetched blocks are used.
     block = 0
-    for i in range(200):
+    for _ in range(200):
         block += 1000
-        prefetcher.on_miss(block)
-    assert not prefetcher.enabled
+        miss(hierarchy, block)
+    assert not hierarchy._next_line.enabled
+    miss(hierarchy, block + 1000)
+    assert not hierarchy.l2.contains(block + 1001)
 
 
 def test_next_line_stays_on_for_sequential_streams():
-    prefetcher = NextLinePrefetcher(window=16, min_accuracy=0.5)
-    block = 0
-    for _ in range(200):
-        prefetcher.train_demand(block)
-        prefetcher.on_miss(block)
-        block += 1  # the next demand hits the previous prefetch
-    assert prefetcher.enabled
+    hierarchy = hierarchy_with_next_line(window=16, min_accuracy=0.5)
+    for block in range(200):  # each demand hits the previous prefetch
+        miss(hierarchy, block)
+    assert hierarchy._next_line.enabled
 
 
 def test_next_line_reenables_after_cooloff():
-    prefetcher = NextLinePrefetcher(window=8, min_accuracy=0.9)
+    hierarchy = hierarchy_with_next_line(window=8, min_accuracy=0.9)
     block = 0
     for _ in range(200):
-        if not prefetcher.enabled:
+        if not hierarchy._next_line.enabled:
             break
         block += 999
-        prefetcher.on_miss(block)
-    assert not prefetcher.enabled
+        miss(hierarchy, block)
+    assert not hierarchy._next_line.enabled
     for _ in range(8):  # one cool-off window of further misses
         block += 999
-        prefetcher.on_miss(block)
-    assert prefetcher.enabled
+        miss(hierarchy, block)
+    assert hierarchy._next_line.enabled
+    miss(hierarchy, block + 999)
+    assert hierarchy.l2.contains(block + 1000)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,9 @@ kept verbatim as the readable spec.  The differential property tests
 ``tests/vm/test_tlb_differential.py``,
 ``tests/mc/test_ctecache_differential.py``) drive random operation
 sequences through both and require identical hits, victims, and stats.
+:class:`ReferenceCacheHierarchy` composes three reference caches into
+the original object-passing L1/L2/L3 cascade, the oracle of
+``tests/cache/test_hierarchy_differential.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator, List, Optional
 
+from repro.cache.hierarchy import HierarchyConfig
+from repro.cache.prefetch import StridePrefetcher
 from repro.cache.sa_cache import CacheLine
 from repro.common.stats import RatioStat
 from repro.common.units import BLOCK_SIZE, KIB
@@ -97,6 +102,143 @@ class ReferenceSetAssociativeCache:
     def blocks(self) -> Iterator[int]:
         for entries in self._sets:
             yield from entries
+
+
+class ReferenceNextLinePrefetcher:
+    """Next-line prefetcher with automatic turn-off, as separate
+    demand-training and miss calls (the spec the hierarchy inlines)."""
+
+    def __init__(self, window: int = 64, min_accuracy: float = 0.25) -> None:
+        self.window = window
+        self.min_accuracy = min_accuracy
+        self._outstanding: "OrderedDict[int, bool]" = OrderedDict()
+        self._recent_results: List[bool] = []
+        self.enabled = True
+        self._cooloff = 0
+
+    def train_demand(self, block: int) -> None:
+        """A demand access; credits the prefetch that predicted it."""
+        if block in self._outstanding:
+            self._outstanding[block] = True
+
+    def on_miss(self, block: int) -> List[int]:
+        """Return blocks to prefetch for a demand miss at ``block``."""
+        while len(self._outstanding) > self.window:
+            _, used = self._outstanding.popitem(last=False)
+            self._recent_results.append(used)
+            if len(self._recent_results) >= self.window:
+                accuracy = sum(self._recent_results) / len(self._recent_results)
+                if accuracy < self.min_accuracy:
+                    self.enabled = False
+                self._recent_results.clear()
+        if not self.enabled:
+            self._cooloff += 1
+            if self._cooloff >= self.window:
+                self.enabled = True
+                self._cooloff = 0
+                self._recent_results.clear()
+            return []
+        self._outstanding[block + 1] = False
+        return [block + 1]
+
+
+class ReferenceCacheHierarchy:
+    """The original L1 + inclusive L2 + exclusive L3 cascade over
+    :class:`ReferenceSetAssociativeCache`, moving :class:`CacheLine`
+    objects between levels (spec + differential oracle).
+
+    ``access`` returns ``(hit_level, dram_writebacks)``.
+    """
+
+    def __init__(self, config: HierarchyConfig = HierarchyConfig(),
+                 next_line: "ReferenceNextLinePrefetcher | None" = None) -> None:
+        self.config = config
+        self.l1 = ReferenceSetAssociativeCache(config.l1_size, config.l1_assoc, "l1")
+        self.l2 = ReferenceSetAssociativeCache(config.l2_size, config.l2_assoc, "l2")
+        self.l3 = ReferenceSetAssociativeCache(config.l3_size, config.l3_assoc, "l3")
+        self.next_line = next_line or ReferenceNextLinePrefetcher()
+        self._stride_l1 = StridePrefetcher(degree=config.l1_stride_degree)
+        self._stride_l2 = StridePrefetcher(degree=config.l2_stride_degree)
+
+    def access(self, address: int, is_write: bool = False,
+               is_ptb: bool = False) -> "tuple[str, List[int]]":
+        block = address >> 6
+        prefetch = self.config.enable_prefetch
+        writebacks: List[int] = []
+        if prefetch:
+            self.next_line.train_demand(block)
+        if self.l1.lookup(block, is_write) is not None:
+            return "l1", writebacks
+        if prefetch:
+            candidates = self.next_line.on_miss(block)
+            candidates += self._stride_l1.on_access(block)
+            self._issue_prefetches(candidates, writebacks)
+        line = self.l2.lookup(block)
+        if line is not None:
+            self._fill_l1(block, is_write, line.compressed, line.is_ptb,
+                          writebacks)
+            return "l2", writebacks
+        if prefetch:
+            self._issue_prefetches(self._stride_l2.on_access(block), writebacks)
+        if self.l3.lookup(block) is not None:
+            moved = self.l3.invalidate(block)  # exclusive: the line moves up
+            self._fill_l2(block, moved.dirty, moved.compressed, moved.is_ptb,
+                          writebacks)
+            self._fill_l1(block, is_write, moved.compressed, moved.is_ptb,
+                          writebacks)
+            return "l3", writebacks
+        self._fill_l2(block, False, False, is_ptb, writebacks)
+        self._fill_l1(block, is_write, False, is_ptb, writebacks)
+        return "memory", writebacks
+
+    def _fill_l1(self, block: int, is_write: bool, compressed: bool,
+                 is_ptb: bool, writebacks: List[int]) -> None:
+        victim = self.l1.fill(block, dirty=is_write, compressed=compressed,
+                              is_ptb=is_ptb)
+        if victim is not None and victim.dirty:
+            l2_line = self.l2.peek(victim.block)
+            if l2_line is not None:
+                l2_line.dirty = True
+            else:
+                self._victim_to_l3(victim, writebacks)
+
+    def _fill_l2(self, block: int, dirty: bool, compressed: bool,
+                 is_ptb: bool, writebacks: List[int]) -> None:
+        victim = self.l2.fill(block, dirty=dirty, compressed=compressed,
+                              is_ptb=is_ptb)
+        if victim is not None:
+            l1_copy = self.l1.invalidate(victim.block)
+            if l1_copy is not None and l1_copy.dirty:
+                victim.dirty = True
+            self._victim_to_l3(victim, writebacks)
+
+    def _victim_to_l3(self, victim: CacheLine, writebacks: List[int]) -> None:
+        l3_victim = self.l3.fill(victim.block, dirty=victim.dirty,
+                                 compressed=victim.compressed,
+                                 is_ptb=victim.is_ptb)
+        if l3_victim is not None and l3_victim.dirty:
+            writebacks.append(l3_victim.block)
+
+    def _issue_prefetches(self, blocks: List[int], writebacks: List[int]) -> None:
+        for block in blocks:
+            if self.l1.contains(block) or self.l2.contains(block):
+                continue
+            moved = self.l3.invalidate(block)
+            if moved is not None:
+                self._fill_l2(block, moved.dirty, moved.compressed,
+                              moved.is_ptb, writebacks)
+            else:
+                self._fill_l2(block, False, False, False, writebacks)
+
+    def mark_compressed(self, address: int, compressed: bool = True) -> None:
+        for cache in (self.l1, self.l2, self.l3):
+            line = cache.peek(address >> 6)
+            if line is not None:
+                line.compressed = compressed
+
+    def invalidate_everywhere(self, address: int) -> None:
+        for cache in (self.l1, self.l2, self.l3):
+            cache.invalidate(address >> 6)
 
 
 class ReferenceTLB:
