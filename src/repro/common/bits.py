@@ -43,7 +43,11 @@ def bit_length_of_count(count: int) -> int:
 
 
 class BitWriter:
-    """Accumulates variable-width codes into a byte buffer, MSB-first."""
+    """Accumulates variable-width codes into a byte buffer, MSB-first.
+
+    Codes collect in an integer accumulator; once 64 or more bits are
+    pending, every whole byte moves to the buffer in one ``to_bytes``.
+    """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
@@ -58,19 +62,17 @@ class BitWriter:
             raise ValueError(f"value {value:#x} does not fit in {width} bits")
         accumulator = (self._accumulator << width) | value
         pending = self._pending_bits + width
-        if pending >= 8:
-            buffer = self._buffer
-            while pending >= 8:
-                pending -= 8
-                buffer.append((accumulator >> pending) & 0xFF)
-            accumulator &= (1 << pending) - 1
+        if pending >= 64:
+            keep = pending & 7
+            self._buffer += (accumulator >> keep).to_bytes(pending >> 3, "big")
+            accumulator &= (1 << keep) - 1
+            pending = keep
         self._accumulator = accumulator
         self._pending_bits = pending
 
     def write_bytes(self, data: bytes) -> None:
         """Append whole bytes (each written as an 8-bit code)."""
-        for byte in data:
-            self.write(byte, 8)
+        self.write(int.from_bytes(data, "big"), 8 * len(data))
 
     @property
     def bit_length(self) -> int:
@@ -79,10 +81,10 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """Return the stream padded with zero bits to a whole byte."""
-        result = bytearray(self._buffer)
-        if self._pending_bits:
-            result.append((self._accumulator << (8 - self._pending_bits)) & 0xFF)
-        return bytes(result)
+        pad = -self._pending_bits & 7
+        tail = (self._accumulator << pad).to_bytes(
+            (self._pending_bits + pad) >> 3, "big")
+        return bytes(self._buffer) + tail
 
 
 class BitReader:

@@ -12,6 +12,7 @@ bytes; the selector handles arbitrary block sequences (pages).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -100,48 +101,54 @@ class BDICompressor(BlockCompressor):
         (2, 1),
     )
 
+    #: Layout indexes, cheapest encoding first (ties in ``LAYOUTS``
+    #: order).  A layout's size is a constant,
+    #: ``3 + 8*base + n + 8*n*delta`` bits for ``n = 64 / base`` values
+    #: (139 to 331, all under a raw block's 512), so the first layout
+    #: that fits is the smallest.
+    _CHEAPEST_FIRST: Sequence[int] = tuple(
+        index for _, index in sorted(
+            (3 + 8 * base + (BLOCK_SIZE // base) * (1 + 8 * delta), index)
+            for index, (base, delta) in enumerate(LAYOUTS)
+        )
+    )
+
+    #: ``struct`` formats reading a block as little-endian base-size values.
+    _FORMATS = {2: "<32H", 4: "<16I", 8: "<8Q"}
+
     def compress(self, block: bytes) -> Optional[CompressedBlock]:
         self._check_block(block)
-        best: Optional[CompressedBlock] = None
-        for layout_index, (base_size, delta_size) in enumerate(self.LAYOUTS):
-            encoded = self._try_layout(block, layout_index, base_size, delta_size)
-            if encoded is not None and (best is None or encoded.size_bits < best.size_bits):
-                best = encoded
-        return best
+        for layout_index in self._CHEAPEST_FIRST:
+            encoded = self._try_layout(block, layout_index)
+            if encoded is not None:
+                return encoded
+        return None
 
-    def _try_layout(
-        self, block: bytes, layout_index: int, base_size: int, delta_size: int
-    ) -> Optional[CompressedBlock]:
-        values = [
-            int.from_bytes(block[i : i + base_size], "little")
-            for i in range(0, BLOCK_SIZE, base_size)
-        ]
+    def _try_layout(self, block: bytes, layout_index: int) -> Optional[CompressedBlock]:
+        base_size, delta_size = self.LAYOUTS[layout_index]
+        values = struct.unpack(self._FORMATS[base_size], block)
         base = values[0]
-        half = 1 << (delta_size * 8 - 1)
-        full = 1 << (delta_size * 8)
-        deltas: List[int] = []
+        delta_bits = delta_size * 8
+        half = 1 << (delta_bits - 1)
+        low = (1 << delta_bits) - 1
+        deltas = 0
         base_mask_bits = 0  # bit per value: 1 = delta from base, 0 = from zero
         for value in values:
             from_base = value - base
-            from_zero = value
             if -half <= from_base < half:
                 base_mask_bits = (base_mask_bits << 1) | 1
-                deltas.append(from_base & (full - 1))
-            elif -half <= from_zero < half:
-                base_mask_bits = (base_mask_bits << 1) | 0
-                deltas.append(from_zero & (full - 1))
+                deltas = (deltas << delta_bits) | (from_base & low)
+            elif value < half:
+                base_mask_bits <<= 1
+                deltas = (deltas << delta_bits) | value
             else:
                 return None
         writer = BitWriter()
         writer.write(layout_index, 3)
         writer.write(base, base_size * 8)
         writer.write(base_mask_bits, len(values))
-        for delta in deltas:
-            writer.write(delta, delta_size * 8)
-        size_bits = writer.bit_length
-        if size_bits >= BLOCK_SIZE * 8:
-            return None
-        return CompressedBlock(self.name, size_bits, writer.getvalue())
+        writer.write(deltas, len(values) * delta_bits)
+        return CompressedBlock(self.name, writer.bit_length, writer.getvalue())
 
     def decompress(self, compressed: CompressedBlock) -> bytes:
         reader = BitReader(compressed.payload)
@@ -186,46 +193,36 @@ class CPackCompressor(BlockCompressor):
 
     def compress(self, block: bytes) -> Optional[CompressedBlock]:
         self._check_block(block)
-        writer = BitWriter()
         dictionary: List[int] = []
-        for offset in range(0, BLOCK_SIZE, self.WORD_SIZE):
-            word = int.from_bytes(block[offset : offset + self.WORD_SIZE], "big")
-            self._encode_word(writer, dictionary, word)
-        size_bits = writer.bit_length
-        if size_bits >= BLOCK_SIZE * 8:
+        # Upper 3 and upper 2 bytes of each dictionary entry, in step
+        # with ``dictionary``, for the partial-match patterns.
+        upper3: List[int] = []
+        upper2: List[int] = []
+        bits = ""
+        for word in struct.unpack(">16I", block):
+            if word == 0:
+                bits += "00"
+                continue
+            if word in dictionary:
+                bits += f"01{dictionary.index(word):04b}"
+                continue
+            if word <= 0xFF:
+                bits += f"1101{word:08b}"
+            elif word >> 8 in upper3:
+                bits += f"1100{upper3.index(word >> 8):04b}{word & 0xFF:08b}"
+            elif word >> 16 in upper2:
+                bits += f"1110{upper2.index(word >> 16):04b}{word & 0xFFFF:016b}"
+            else:
+                bits += f"10{word:032b}"
+            # A block's sixteen words never overflow the 16-entry FIFO.
+            dictionary.append(word)
+            upper3.append(word >> 8)
+            upper2.append(word >> 16)
+        if len(bits) >= BLOCK_SIZE * 8:
             return None
-        return CompressedBlock(self.name, size_bits, writer.getvalue())
-
-    def _encode_word(self, writer: BitWriter, dictionary: List[int], word: int) -> None:
-        if word == 0:
-            writer.write(0b00, 2)
-            return
-        if word in dictionary:
-            writer.write(0b01, 2)
-            writer.write(dictionary.index(word), 4)
-            return
-        if word <= 0xFF:
-            writer.write(0b1101, 4)
-            writer.write(word, 8)
-            self._push(dictionary, word)
-            return
-        for index, entry in enumerate(dictionary):
-            if (entry >> 8) == (word >> 8):
-                writer.write(0b1100, 4)
-                writer.write(index, 4)
-                writer.write(word & 0xFF, 8)
-                self._push(dictionary, word)
-                return
-        for index, entry in enumerate(dictionary):
-            if (entry >> 16) == (word >> 16):
-                writer.write(0b1110, 4)
-                writer.write(index, 4)
-                writer.write(word & 0xFFFF, 16)
-                self._push(dictionary, word)
-                return
-        writer.write(0b10, 2)
-        writer.write(word, 32)
-        self._push(dictionary, word)
+        writer = BitWriter()
+        writer.write(int(bits, 2), len(bits))
+        return CompressedBlock(self.name, len(bits), writer.getvalue())
 
     def _push(self, dictionary: List[int], word: int) -> None:
         dictionary.append(word)
@@ -289,37 +286,38 @@ class BPCCompressor(BlockCompressor):
 
     def compress(self, block: bytes) -> Optional[CompressedBlock]:
         self._check_block(block)
-        words = [
-            int.from_bytes(block[i : i + self.WORD_SIZE], "big")
-            for i in range(0, BLOCK_SIZE, self.WORD_SIZE)
-        ]
-        planes = self._to_planes(words)
-        writer = BitWriter()
-        writer.write(words[0], 32)  # base word stored raw
-        for plane in planes:
-            self._encode_plane(writer, plane)
-        size_bits = writer.bit_length
-        if size_bits >= BLOCK_SIZE * 8:
+        words = struct.unpack(">16I", block)
+        bits = format(words[0], "032b")  # base word stored raw
+        zeros, ones = "0" * self.DELTA_COUNT, "1" * self.DELTA_COUNT
+        for plane in self._to_planes(words):
+            if plane == zeros:
+                bits += "00"
+            elif plane == ones:
+                bits += "01"
+            elif plane.count("1") == 1:
+                bits += "10" + format(self.DELTA_COUNT - 1 - plane.index("1"), "04b")
+            else:
+                bits += "11" + plane
+        if len(bits) >= BLOCK_SIZE * 8:
             return None
-        return CompressedBlock(self.name, size_bits, writer.getvalue())
+        writer = BitWriter()
+        writer.write(int(bits, 2), len(bits))
+        return CompressedBlock(self.name, len(bits), writer.getvalue())
 
-    def _to_planes(self, words: List[int]) -> List[int]:
+    def _to_planes(self, words: Sequence[int]) -> List[str]:
         """Delta-transform then transpose into bit-planes.
 
         Deltas are 33-bit signed values stored sign+magnitude-free as
         two's complement in 33 bits; plane ``p`` collects bit ``p`` of each
-        of the 15 deltas (delta 0 in the MSB of the plane).
+        of the 15 deltas (delta 0 in the MSB of the plane).  Each plane
+        is returned spelled as a 15-character bit string, plane 0 first.
         """
-        deltas = [
-            (words[i + 1] - words[i]) & ((1 << 33) - 1) for i in range(self.DELTA_COUNT)
-        ]
-        planes = []
-        for plane_index in range(33):
-            plane = 0
-            for delta in deltas:
-                plane = (plane << 1) | ((delta >> plane_index) & 1)
-            planes.append(plane)
-        return planes
+        rows = "".join([
+            format((words[i + 1] - words[i]) & ((1 << 33) - 1), "033b")
+            for i in range(self.DELTA_COUNT)
+        ])
+        # Row-major 33-character rows, so bit p's column starts at 32 - p.
+        return [rows[start::33] for start in range(32, -1, -1)]
 
     def _from_planes(self, base: int, planes: List[int]) -> List[int]:
         deltas = [0] * self.DELTA_COUNT
@@ -333,19 +331,6 @@ class BPCCompressor(BlockCompressor):
                 delta -= 1 << 33
             words.append((words[-1] + delta) & 0xFFFF_FFFF)
         return words
-
-    def _encode_plane(self, writer: BitWriter, plane: int) -> None:
-        all_ones = (1 << self.DELTA_COUNT) - 1
-        if plane == 0:
-            writer.write(0b00, 2)
-        elif plane == all_ones:
-            writer.write(0b01, 2)
-        elif bin(plane).count("1") == 1:
-            writer.write(0b10, 2)
-            writer.write(plane.bit_length() - 1, 4)
-        else:
-            writer.write(0b11, 2)
-            writer.write(plane, self.DELTA_COUNT)
 
     def _decode_plane(self, reader: BitReader) -> int:
         pattern = reader.read(2)
@@ -389,11 +374,16 @@ class SelectiveBlockCompressor:
 
     def compress(self, block: bytes) -> CompressedBlock:
         """Compress one block; falls back to raw storage when nothing fits."""
-        best: Optional[CompressedBlock] = None
-        for compressor in self._compressors:
-            candidate = compressor.compress(block)
-            if candidate is not None and (best is None or candidate.size_bits < best.size_bits):
-                best = candidate
+        # An all-zero block's 1-bit flag beats every other encoder's
+        # minimum (C-Pack >= 32 bits, BPC >= 98, BDI >= 139).
+        best = self._compressors[0].compress(block)
+        if best is None:
+            for compressor in self._compressors[1:]:
+                candidate = compressor.compress(block)
+                if candidate is not None and (
+                    best is None or candidate.size_bits < best.size_bits
+                ):
+                    best = candidate
         if best is None:
             return CompressedBlock(
                 "raw", self.HEADER_BITS + BLOCK_SIZE * 8, bytes(block)

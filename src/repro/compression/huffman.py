@@ -193,14 +193,16 @@ class ReducedHuffmanCodec:
         for symbol in real_leaves:
             writer.write(symbol, 8)
             writer.write(lengths[symbol], 4)
+        # Spell every byte's code once (escaped bytes as escape code +
+        # raw byte), then write the whole payload as one field.
         escape_code, escape_length = codes[ESCAPE]
-        for byte in data:
-            if byte in codes:
-                code, length = codes[byte]
-                writer.write(code, length)
-            else:
-                writer.write(escape_code, escape_length)
-                writer.write(byte, 8)
+        escape = format(escape_code, f"0{escape_length}b")
+        spelled = [escape + format(byte, "08b") for byte in range(256)]
+        for symbol in real_leaves:
+            code, length = codes[symbol]
+            spelled[symbol] = format(code, f"0{length}b")
+        payload = "".join([spelled[byte] for byte in data])
+        writer.write(int(payload, 2), len(payload))
         return writer.getvalue()
 
     def decode(self, blob: bytes) -> bytes:

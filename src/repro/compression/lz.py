@@ -19,6 +19,8 @@ frequency-count and code them directly.
 
 The matcher is a hash-chain over 4-byte prefixes restricted to the
 configured window -- functionally what a hardware CAM of that size finds.
+Chains are keyed by the prefix bytes themselves, so the tokens never
+depend on Python's per-process hash salt.
 """
 
 from __future__ import annotations
@@ -85,6 +87,23 @@ class LZStats:
     token_count: int = 0
     match_lengths: List[int] = field(default_factory=list)
 
+    @classmethod
+    def from_tokens(
+        cls, tokens: List[LZToken], input_bytes: int, output_bytes: int
+    ) -> "LZStats":
+        """Count the tokens of one compression (``output_bytes`` is the
+        length of their serialized stream)."""
+        match_lengths = [token.match_length for token in tokens if token.match_length]
+        return cls(
+            input_bytes=input_bytes,
+            output_bytes=output_bytes,
+            literal_bytes=sum(len(token.literals) for token in tokens),
+            match_count=len(match_lengths),
+            matched_bytes=sum(match_lengths),
+            token_count=len(tokens),
+            match_lengths=match_lengths,
+        )
+
 
 class LZCompressor:
     """Sliding-window LZ with greedy match selection."""
@@ -97,35 +116,46 @@ class LZCompressor:
     # ------------------------------------------------------------------
 
     def tokenize(self, data: bytes) -> List[LZToken]:
-        """Split ``data`` into LZ sequences using greedy matching."""
+        """Split ``data`` into LZ sequences using greedy matching.
+
+        Each position takes the longest match among the ``max_chain``
+        most recent in-window positions sharing its 4-byte prefix; ties
+        go to the nearest.  A candidate is compared only when it can
+        beat the best so far (its byte at the best length must match,
+        zlib's trick), and the search stops once the best reaches the
+        longest length still possible.
+        """
         window = self.config.window_size
         max_chain = self.config.max_chain
         tokens: List[LZToken] = []
-        head: Dict[int, int] = {}  # 4-byte prefix hash -> most recent position
-        prev: Dict[int, int] = {}  # position -> previous position w/ same hash
+        length = len(data)
+        last_key = length - MIN_MATCH  # last position with a full prefix
+        head: Dict[bytes, int] = {}  # 4-byte prefix -> most recent position
+        prev = [-1] * length  # position -> previous position w/ same prefix
         literal_start = 0
         position = 0
-        length = len(data)
         while position < length:
             best_length = 0
-            best_offset = 0
-            if position + MIN_MATCH <= length:
+            if position <= last_key:
                 key = data[position : position + MIN_MATCH]
-                candidate = head.get(hash(key), -1)
+                candidate = head.get(key, -1)
+                prev[position] = candidate
+                head[key] = position
+                floor = position - window
+                limit = min(length - position, MAX_MATCH)
                 chain = 0
-                while candidate >= 0 and chain < max_chain:
-                    offset = position - candidate
-                    if offset > window:
-                        break
-                    match_length = self._match_length(data, candidate, position)
-                    if match_length > best_length:
-                        best_length = match_length
-                        best_offset = offset
-                        if match_length >= MAX_MATCH:
-                            break
-                    candidate = prev.get(candidate, -1)
+                while candidate >= 0 and candidate >= floor and chain < max_chain:
+                    if data[candidate + best_length] == data[position + best_length]:
+                        match_length = self._match_length(
+                            data, candidate, position, limit)
+                        if match_length > best_length:
+                            best_length = match_length
+                            best_offset = position - candidate
+                            if match_length == limit:
+                                break
+                    candidate = prev[candidate]
                     chain += 1
-            if best_length >= MIN_MATCH:
+            if best_length:
                 tokens.append(
                     LZToken(
                         literals=data[literal_start:position],
@@ -133,37 +163,31 @@ class LZCompressor:
                         match_offset=best_offset,
                     )
                 )
-                end = min(position + best_length, length - MIN_MATCH + 1)
-                step = position
-                while step < end:
-                    self._insert(data, step, head, prev)
-                    step += 1
+                for step in range(position + 1,
+                                  min(position + best_length, last_key + 1)):
+                    key = data[step : step + MIN_MATCH]
+                    prev[step] = head.get(key, -1)
+                    head[key] = step
                 position += best_length
                 literal_start = position
             else:
-                self._insert(data, position, head, prev)
                 position += 1
         if literal_start < length or not tokens:
             tokens.append(LZToken(literals=data[literal_start:]))
         return tokens
 
     @staticmethod
-    def _match_length(data: bytes, candidate: int, position: int) -> int:
-        limit = min(len(data) - position, MAX_MATCH)
-        length = 0
+    def _match_length(data: bytes, candidate: int, position: int, limit: int) -> int:
+        """Length of the match at ``candidate``, whose first ``MIN_MATCH``
+        bytes equal those at ``position``, capped at ``limit``."""
+        length = MIN_MATCH
+        while (length + 8 <= limit
+               and data[candidate + length : candidate + length + 8]
+               == data[position + length : position + length + 8]):
+            length += 8
         while length < limit and data[candidate + length] == data[position + length]:
             length += 1
         return length
-
-    def _insert(
-        self, data: bytes, position: int, head: Dict[int, int], prev: Dict[int, int]
-    ) -> None:
-        if position + MIN_MATCH > len(data):
-            return
-        key = hash(data[position : position + MIN_MATCH])
-        if key in head:
-            prev[position] = head[key]
-        head[key] = position
 
     # ------------------------------------------------------------------
     # Byte-stream serialization (the 256-symbol alphabet)
@@ -247,13 +271,4 @@ class LZCompressor:
     def stats(self, data: bytes) -> LZStats:
         """Compress and report the counts the cycle model consumes."""
         tokens = self.tokenize(data)
-        stream = self.serialize(tokens)
-        stats = LZStats(input_bytes=len(data), output_bytes=len(stream))
-        for token in tokens:
-            stats.token_count += 1
-            stats.literal_bytes += len(token.literals)
-            if token.match_length:
-                stats.match_count += 1
-                stats.matched_bytes += token.match_length
-                stats.match_lengths.append(token.match_length)
-        return stats
+        return LZStats.from_tokens(tokens, len(data), len(self.serialize(tokens)))

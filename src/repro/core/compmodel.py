@@ -1,7 +1,8 @@
 """Per-page compression oracles.
 
-Running the bit-exact Deflate over every page a simulation migrates would
-dominate runtime (Python pays ~10 ms per 4 KB page), so each workload gets
+Running the bit-exact codecs over every page a simulation migrates would
+dominate runtime (Deflate plus the block selector cost about 7 ms of CPU
+per 4 KB page on a 2-vCPU Xeon container), so each workload gets
 an oracle: a *sample* of its pages is pushed through the real codecs
 (page-level Deflate with the pipeline timing model, and the block-level
 best-of selector), and every simulated page deterministically maps to one

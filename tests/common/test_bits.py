@@ -1,7 +1,7 @@
 """Unit and property tests for bit-field helpers and bitstream I/O."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.bits import (
     BitReader,
@@ -112,19 +112,37 @@ def test_write_bytes():
     assert reader.read(8) == 0xAD
 
 
-@given(st.lists(st.tuples(st.integers(min_value=1, max_value=33), st.integers(min_value=0)),
-                min_size=1, max_size=64))
-def test_writer_reader_roundtrip_property(fields):
-    """Whatever sequence of (width, value) we write, we read it back."""
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=200),
+                          st.integers(min_value=0, max_value=(1 << 200) - 1)),
+                min_size=1, max_size=256),
+       st.integers(min_value=0))
+def test_writer_reader_roundtrip_property(fields, cut):
+    """Whatever sequence of (width, value) we write, we read it back.
+
+    Widths up to 200 bits cross the writer's 64-bit flush boundary and
+    make one-shot wide writes; a ``getvalue()`` taken mid-stream must
+    read back the prefix, zero-padded, and not disturb later writes.
+    """
     writer = BitWriter()
     normalized = []
-    for width, raw in fields:
+    cut %= len(fields)
+    for index, (width, raw) in enumerate(fields):
+        if index == cut:
+            snapshot, snapshot_bits = writer.getvalue(), writer.bit_length
         value = raw & mask(width)
         normalized.append((width, value))
         writer.write(value, width)
+    assert writer.bit_length == sum(width for width, _ in normalized)
+    assert len(snapshot) == (snapshot_bits + 7) // 8
+    reader = BitReader(snapshot)
+    for width, value in normalized[:cut]:
+        assert reader.read(width) == value
+    assert reader.read(reader.bits_remaining) == 0
     reader = BitReader(writer.getvalue())
     for width, value in normalized:
         assert reader.read(width) == value
+    assert reader.bits_remaining < 8
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1),

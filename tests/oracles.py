@@ -10,18 +10,35 @@ sequences through both and require identical hits, victims, and stats.
 :class:`ReferenceCacheHierarchy` composes three reference caches into
 the original object-passing L1/L2/L3 cascade, the oracle of
 ``tests/cache/test_hierarchy_differential.py``.
+
+The codec oracles (:class:`ReferenceBitWriter`, :class:`ReferenceLZMatcher`
+and the ``Reference*Compressor`` block encoders) are the original
+byte-at-a-time bit writer, per-position hash-chain matcher and
+per-field block encoders that the production codecs replaced, kept
+verbatim; ``tests/compression/test_codec_differential.py`` requires
+identical tokens, bitstreams and sizes from both.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.prefetch import StridePrefetcher
 from repro.cache.sa_cache import CacheLine
 from repro.common.stats import RatioStat
 from repro.common.units import BLOCK_SIZE, KIB
+from repro.compression.block import (
+    BDICompressor,
+    BlockCompressor,
+    BPCCompressor,
+    CompressedBlock,
+    CPackCompressor,
+    SelectiveBlockCompressor,
+    ZeroBlockCompressor,
+)
+from repro.compression.lz import MAX_MATCH, MIN_MATCH, LZConfig, LZToken
 
 
 class ReferenceSetAssociativeCache:
@@ -336,3 +353,300 @@ class ReferenceCTECache:
     @property
     def occupancy_blocks(self) -> int:
         return len(self._lru)
+
+
+class ReferenceBitWriter:
+    """The original byte-at-a-time bit writer (spec + differential oracle)."""
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        self._accumulator = 0
+        self._pending_bits = 0
+
+    def write(self, value: int, width: int) -> None:
+        """Append the low ``width`` bits of ``value`` to the stream."""
+        if width < 0:
+            raise ValueError(f"width must be non-negative, got {width}")
+        if value < 0 or value >> width:
+            raise ValueError(f"value {value:#x} does not fit in {width} bits")
+        accumulator = (self._accumulator << width) | value
+        pending = self._pending_bits + width
+        if pending >= 8:
+            buffer = self._buffer
+            while pending >= 8:
+                pending -= 8
+                buffer.append((accumulator >> pending) & 0xFF)
+            accumulator &= (1 << pending) - 1
+        self._accumulator = accumulator
+        self._pending_bits = pending
+
+    def write_bytes(self, data: bytes) -> None:
+        """Append whole bytes (each written as an 8-bit code)."""
+        for byte in data:
+            self.write(byte, 8)
+
+    @property
+    def bit_length(self) -> int:
+        """Total number of bits written so far."""
+        return len(self._buffer) * 8 + self._pending_bits
+
+    def getvalue(self) -> bytes:
+        """Return the stream padded with zero bits to a whole byte."""
+        result = bytearray(self._buffer)
+        if self._pending_bits:
+            result.append((self._accumulator << (8 - self._pending_bits)) & 0xFF)
+        return bytes(result)
+
+
+class ReferenceLZMatcher:
+    """The original greedy hash-chain LZ matcher (spec + differential
+    oracle): one ``hash()``-keyed chain insert per position and a
+    byte-at-a-time match compare against every chain candidate."""
+
+    def __init__(self, config: LZConfig = LZConfig()) -> None:
+        self.config = config
+
+    def tokenize(self, data: bytes) -> List[LZToken]:
+        """Split ``data`` into LZ sequences using greedy matching."""
+        window = self.config.window_size
+        max_chain = self.config.max_chain
+        tokens: List[LZToken] = []
+        head: Dict[int, int] = {}  # 4-byte prefix hash -> most recent position
+        prev: Dict[int, int] = {}  # position -> previous position w/ same hash
+        literal_start = 0
+        position = 0
+        length = len(data)
+        while position < length:
+            best_length = 0
+            best_offset = 0
+            if position + MIN_MATCH <= length:
+                key = data[position : position + MIN_MATCH]
+                candidate = head.get(hash(key), -1)
+                chain = 0
+                while candidate >= 0 and chain < max_chain:
+                    offset = position - candidate
+                    if offset > window:
+                        break
+                    match_length = self._match_length(data, candidate, position)
+                    if match_length > best_length:
+                        best_length = match_length
+                        best_offset = offset
+                        if match_length >= MAX_MATCH:
+                            break
+                    candidate = prev.get(candidate, -1)
+                    chain += 1
+            if best_length >= MIN_MATCH:
+                tokens.append(
+                    LZToken(
+                        literals=data[literal_start:position],
+                        match_length=best_length,
+                        match_offset=best_offset,
+                    )
+                )
+                end = min(position + best_length, length - MIN_MATCH + 1)
+                step = position
+                while step < end:
+                    self._insert(data, step, head, prev)
+                    step += 1
+                position += best_length
+                literal_start = position
+            else:
+                self._insert(data, position, head, prev)
+                position += 1
+        if literal_start < length or not tokens:
+            tokens.append(LZToken(literals=data[literal_start:]))
+        return tokens
+
+    @staticmethod
+    def _match_length(data: bytes, candidate: int, position: int) -> int:
+        limit = min(len(data) - position, MAX_MATCH)
+        length = 0
+        while length < limit and data[candidate + length] == data[position + length]:
+            length += 1
+        return length
+
+    def _insert(
+        self, data: bytes, position: int, head: Dict[int, int], prev: Dict[int, int]
+    ) -> None:
+        if position + MIN_MATCH > len(data):
+            return
+        key = hash(data[position : position + MIN_MATCH])
+        if key in head:
+            prev[position] = head[key]
+        head[key] = position
+
+
+class ReferenceBDICompressor(BDICompressor):
+    """The original BDI encoder: builds every layout's bitstream and keeps
+    the smallest (spec + differential oracle)."""
+
+    def compress(self, block: bytes) -> Optional[CompressedBlock]:
+        self._check_block(block)
+        best: Optional[CompressedBlock] = None
+        for layout_index, (base_size, delta_size) in enumerate(self.LAYOUTS):
+            encoded = self._try_layout(block, layout_index, base_size, delta_size)
+            if encoded is not None and (best is None or encoded.size_bits < best.size_bits):
+                best = encoded
+        return best
+
+    def _try_layout(
+        self, block: bytes, layout_index: int, base_size: int, delta_size: int
+    ) -> Optional[CompressedBlock]:
+        values = [
+            int.from_bytes(block[i : i + base_size], "little")
+            for i in range(0, BLOCK_SIZE, base_size)
+        ]
+        base = values[0]
+        half = 1 << (delta_size * 8 - 1)
+        full = 1 << (delta_size * 8)
+        deltas: List[int] = []
+        base_mask_bits = 0  # bit per value: 1 = delta from base, 0 = from zero
+        for value in values:
+            from_base = value - base
+            from_zero = value
+            if -half <= from_base < half:
+                base_mask_bits = (base_mask_bits << 1) | 1
+                deltas.append(from_base & (full - 1))
+            elif -half <= from_zero < half:
+                base_mask_bits = (base_mask_bits << 1) | 0
+                deltas.append(from_zero & (full - 1))
+            else:
+                return None
+        writer = ReferenceBitWriter()
+        writer.write(layout_index, 3)
+        writer.write(base, base_size * 8)
+        writer.write(base_mask_bits, len(values))
+        for delta in deltas:
+            writer.write(delta, delta_size * 8)
+        size_bits = writer.bit_length
+        if size_bits >= BLOCK_SIZE * 8:
+            return None
+        return CompressedBlock(self.name, size_bits, writer.getvalue())
+
+
+class ReferenceCPackCompressor(CPackCompressor):
+    """The original C-Pack encoder (spec + differential oracle)."""
+
+    def compress(self, block: bytes) -> Optional[CompressedBlock]:
+        self._check_block(block)
+        writer = ReferenceBitWriter()
+        dictionary: List[int] = []
+        for offset in range(0, BLOCK_SIZE, self.WORD_SIZE):
+            word = int.from_bytes(block[offset : offset + self.WORD_SIZE], "big")
+            self._encode_word(writer, dictionary, word)
+        size_bits = writer.bit_length
+        if size_bits >= BLOCK_SIZE * 8:
+            return None
+        return CompressedBlock(self.name, size_bits, writer.getvalue())
+
+    def _encode_word(self, writer: ReferenceBitWriter, dictionary: List[int],
+                     word: int) -> None:
+        if word == 0:
+            writer.write(0b00, 2)
+            return
+        if word in dictionary:
+            writer.write(0b01, 2)
+            writer.write(dictionary.index(word), 4)
+            return
+        if word <= 0xFF:
+            writer.write(0b1101, 4)
+            writer.write(word, 8)
+            self._push(dictionary, word)
+            return
+        for index, entry in enumerate(dictionary):
+            if (entry >> 8) == (word >> 8):
+                writer.write(0b1100, 4)
+                writer.write(index, 4)
+                writer.write(word & 0xFF, 8)
+                self._push(dictionary, word)
+                return
+        for index, entry in enumerate(dictionary):
+            if (entry >> 16) == (word >> 16):
+                writer.write(0b1110, 4)
+                writer.write(index, 4)
+                writer.write(word & 0xFFFF, 16)
+                self._push(dictionary, word)
+                return
+        writer.write(0b10, 2)
+        writer.write(word, 32)
+        self._push(dictionary, word)
+
+    def _push(self, dictionary: List[int], word: int) -> None:
+        dictionary.append(word)
+        if len(dictionary) > self.DICT_ENTRIES:
+            dictionary.pop(0)
+
+
+class ReferenceBPCCompressor(BPCCompressor):
+    """The original bit-plane encoder: integer transpose and one writer
+    call per plane field (spec + differential oracle)."""
+
+    def compress(self, block: bytes) -> Optional[CompressedBlock]:
+        self._check_block(block)
+        words = [
+            int.from_bytes(block[i : i + self.WORD_SIZE], "big")
+            for i in range(0, BLOCK_SIZE, self.WORD_SIZE)
+        ]
+        planes = self._to_planes(words)
+        writer = ReferenceBitWriter()
+        writer.write(words[0], 32)  # base word stored raw
+        for plane in planes:
+            self._encode_plane(writer, plane)
+        size_bits = writer.bit_length
+        if size_bits >= BLOCK_SIZE * 8:
+            return None
+        return CompressedBlock(self.name, size_bits, writer.getvalue())
+
+    def _to_planes(self, words: List[int]) -> List[int]:
+        deltas = [
+            (words[i + 1] - words[i]) & ((1 << 33) - 1) for i in range(self.DELTA_COUNT)
+        ]
+        planes = []
+        for plane_index in range(33):
+            plane = 0
+            for delta in deltas:
+                plane = (plane << 1) | ((delta >> plane_index) & 1)
+            planes.append(plane)
+        return planes
+
+    def _encode_plane(self, writer: ReferenceBitWriter, plane: int) -> None:
+        all_ones = (1 << self.DELTA_COUNT) - 1
+        if plane == 0:
+            writer.write(0b00, 2)
+        elif plane == all_ones:
+            writer.write(0b01, 2)
+        elif bin(plane).count("1") == 1:
+            writer.write(0b10, 2)
+            writer.write(plane.bit_length() - 1, 4)
+        else:
+            writer.write(0b11, 2)
+            writer.write(plane, self.DELTA_COUNT)
+
+
+class ReferenceSelectiveBlockCompressor(SelectiveBlockCompressor):
+    """The original best-of selector over the reference encoders: runs
+    every encoder on every block, the all-zero block included."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._compressors: List[BlockCompressor] = [
+            ZeroBlockCompressor(),
+            ReferenceBDICompressor(),
+            ReferenceBPCCompressor(),
+            ReferenceCPackCompressor(),
+        ]
+        self._by_name = {c.name: c for c in self._compressors}
+
+    def compress(self, block: bytes) -> CompressedBlock:
+        best: Optional[CompressedBlock] = None
+        for compressor in self._compressors:
+            candidate = compressor.compress(block)
+            if candidate is not None and (best is None or candidate.size_bits < best.size_bits):
+                best = candidate
+        if best is None:
+            return CompressedBlock(
+                "raw", self.HEADER_BITS + BLOCK_SIZE * 8, bytes(block)
+            )
+        return CompressedBlock(
+            best.algorithm, best.size_bits + self.HEADER_BITS, best.payload
+        )
