@@ -12,12 +12,13 @@ traffic and compressed-page bookkeeping.
 Storage is block-keyed (``sa_cache.SetAssociativeCache``): the access
 path and fill helpers below move one packed ``flags`` int per line
 between the levels' ``block -> flags`` dicts and per-set recency order
-lists -- no :class:`CacheLine` objects move between levels.  Both
-replay loops share this one access path; its behaviour stays pinned by
-the ``--emit-json`` goldens, the cascade by the hierarchy differential
-test against an oracle built from the ``OrderedDict`` caches in
-``tests/oracles.py``, and the per-cache semantics by the single-cache
-differential tests against the same oracle.
+lists -- no :class:`CacheLine` objects move between levels.  The
+replay loop and :meth:`CacheHierarchy.access` share this one access
+path; its behaviour stays pinned by the ``--emit-json`` goldens, the
+cascade by the hierarchy differential test against an oracle built
+from the ``OrderedDict`` caches in ``tests/oracles.py``, and the
+per-cache semantics by the single-cache differential tests against the
+same oracle.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ class CacheHierarchy:
 
         0=L1, 1=L2, 2=L3, 3=memory (the caller adds the DRAM latency;
         the fills are already done).  Dirty L3 victims are appended to
-        the caller-owned ``writebacks`` list.  The fast replay loop calls
-        this directly (and inlines its L1-hit half) to skip the
-        :class:`AccessResult` of :meth:`access`.
+        the caller-owned ``writebacks`` list.  The replay loop inlines
+        its L1-hit half and calls :meth:`access_fast_miss` directly, to
+        skip the :class:`AccessResult` of :meth:`access`.
         """
         if self._prefetch_on:
             outstanding = self._next_line._outstanding
@@ -141,7 +142,7 @@ class CacheHierarchy:
                          writebacks: List[int]) -> int:
         """L1-miss continuation of :meth:`access_fast`.
 
-        Split out so the fast replay loop can inline the (hot, trivial)
+        Split out so the replay loop can inline the (hot, trivial)
         next-line training + L1 probe and only pay a call on a miss.
         """
         if self._prefetch_on:

@@ -308,8 +308,6 @@ def _validate_run_args(args: argparse.Namespace) -> Optional[str]:
         return "--faults only supports single-core runs"
     if args.cores > 1 and (args.checkpoint or args.wall_clock_limit):
         return "--checkpoint/--wall-clock-limit only support single-core runs"
-    if args.cores > 1 and args.fast_path == "on":
-        return "--fast-path on only supports single-core runs"
     return None
 
 
@@ -363,7 +361,6 @@ def _run_simulation(args: argparse.Namespace, holder: dict) -> int:
                 print(f"note: resuming from {args.resume}; "
                       f"workload argument ignored", file=sys.stderr)
             sim = load_checkpoint(args.resume)
-            sim.fast_path = args.fast_path
             controller_name = sim.controller_name
         else:
             from repro.sim.multicore import MultiCoreSimulator
@@ -388,8 +385,7 @@ def _run_simulation(args: argparse.Namespace, holder: dict) -> int:
                     context.enable_profiling()
                 sim = Simulator(workload, controller=args.controller,
                                 seed=args.seed, fault_plan=plan,
-                                context=context,
-                                fast_path=args.fast_path)
+                                context=context)
     except BaseException:
         if event_writer is not None:
             event_writer.close()
@@ -1098,8 +1094,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   f"{record['accesses_per_s']:,.0f} acc/s", flush=True)
 
         document = run_suite(accesses=args.accesses, workloads=workloads,
-                             fast_path=args.fast_path, seed=args.seed,
-                             progress=show)
+                             seed=args.seed, progress=show)
     except ConfigError as error:
         print(f"error (config): {error}", file=sys.stderr)
         return 2
@@ -1216,12 +1211,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--interval-out", metavar="PATH",
                      help="write the time series: .csv or JSONL by "
                           "extension")
-    run.add_argument("--fast-path", choices=("auto", "on", "off"),
-                     default="auto",
-                     help="zero-observer replay loop: 'auto' takes it "
-                          "whenever eligible, 'on' demands it (config "
-                          "error when observers force the slow loop), "
-                          "'off' always runs the instrumented loop")
     run.add_argument("--profile", action="store_true",
                      help="measure host wall-clock self-time per section "
                           "(adds profile.* metrics; non-deterministic)")
@@ -1405,10 +1394,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workloads", metavar="CSV",
                        help="comma-separated subset of the pinned "
                             "workloads (default: all seven)")
-    bench.add_argument("--fast-path", choices=("auto", "on", "off"),
-                       default="auto",
-                       help="which replay loop the suite times "
-                            "(default: auto)")
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--out", metavar="PATH",
                        help="output document "

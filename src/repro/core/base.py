@@ -203,7 +203,7 @@ class MemoryController:
                       is_write: bool = False) -> MissResult:
         """Serve an LLC miss for block ``block_index`` of page ``ppn``.
 
-        Both replay loops call this; the returned span records feed the
+        The replay loop calls this; the returned span records feed the
         stage metrics here and, when a tracer samples the access, the
         simulator's span tree.
         """

@@ -1,4 +1,4 @@
-"""Shared virtual-address decomposition for both replay loops.
+"""Column-wise virtual-address decomposition for the replay loop.
 
 One access record ``(vaddr, is_write)`` splits into:
 
@@ -8,10 +8,8 @@ One access record ``(vaddr, is_write)`` splits into:
 - ``block_index`` -- the 64 B block within the page,
   ``(vaddr & 0xFFF) >> 6``.
 
-The instrumented loop (``Simulator._one_access``) decomposes one access
-at a time via :func:`decompose_vaddr`; the fast loop pre-splits the
-whole trace into columns via :func:`trace_columns`.  Both spellings are
-defined here, once, so they cannot drift apart.
+:func:`trace_columns` splits the whole trace into columns once per
+``Simulator.run`` call.
 
 ``trace_columns`` vectorizes with numpy when available (and not masked
 out via ``REPRO_NO_NUMPY``); addresses beyond int64 overflow
@@ -24,12 +22,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.common.numpy_compat import numpy_or_none
-
-
-def decompose_vaddr(vaddr: int, huge_pages: bool) -> Tuple[int, int, int]:
-    """One access: ``(vpn, tlb tag, block index within the page)``."""
-    vpn = vaddr >> 12
-    return vpn, (vpn >> 9) if huge_pages else vpn, (vaddr & 0xFFF) >> 6
 
 
 def trace_columns(

@@ -204,7 +204,7 @@ class MultiCoreSimulator:
                 measure_start = max(c.now_ns for c in self.cores)
             executed += 1
             core.now_ns += compute_ns
-            stall = self._one_access(core, vaddr, is_write)
+            stall = self._core_access(core, vaddr, is_write)
             core.now_ns += stall * self.system.mlp_stall_factor
 
         end = max(c.now_ns for c in self.cores)
@@ -212,7 +212,7 @@ class MultiCoreSimulator:
         elapsed = end - measure_start
         return self._result(max(0, executed - warmup), max(1.0, elapsed))
 
-    def _one_access(self, core: _Core, vaddr: int, is_write: bool) -> float:
+    def _core_access(self, core: _Core, vaddr: int, is_write: bool) -> float:
         system = self.system
         vpn = vaddr >> 12
         stall = 0.0

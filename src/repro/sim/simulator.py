@@ -1,6 +1,7 @@
 """The trace-driven simulator.
 
-Replays one workload's access trace through the full stack:
+Replays one workload's access trace through the full stack (the loop
+itself is :func:`repro.sim.replay.replay`):
 
     virtual address -> TLB -> (page walk: PTB fetches through the caches,
     with TMCC harvesting embedded CTEs) -> cache hierarchy -> compression
@@ -34,13 +35,13 @@ from repro.core import (  # noqa: F401  (importing registers the built-ins)
     TwoLevelController,
     create_controller,
 )
-from repro.core.base import PATH_CTE_HIT
+from repro.core.base import MissResult
 from repro.core.compmodel import PageCompressionModel
 from repro.core.config import SystemConfig
 from repro.dram.system import DRAMSystem
-from repro.sim.columns import decompose_vaddr
 from repro.sim.context import SimContext
 from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.replay import replay
 from repro.sim.results import SimResult
 from repro.vm.pagetable import FrameAllocator, PageTable, PageTablePopulator
 from repro.vm.tlb import TLB
@@ -53,12 +54,12 @@ class RunProgress:
     """Where a (possibly supervised) trace replay currently stands.
 
     Lives on the simulator so a checkpoint of the simulator object
-    captures the loop position alongside every component's state.
+    captures the loop position alongside every component's state.  The
+    measured accesses are those from ``warmup_end`` up to ``index``.
     """
 
     index: int
     warmup_end: int
-    measured: int = 0
     measure_start_ns: float = 0.0
 
 
@@ -79,19 +80,12 @@ class Simulator:
         context: Optional[SimContext] = None,
         fault_plan: Optional[FaultPlan] = None,
         resilience: bool = False,
-        fast_path: str = "auto",
     ) -> None:
         if controller not in CONTROLLER_REGISTRY:
             raise ValueError(f"unknown controller {controller!r}; "
                              f"choose from {CONTROLLER_REGISTRY.names()}")
         if virtualized and huge_pages:
             raise ValueError("virtualized mode models 4 KB guest pages only")
-        if fast_path not in ("auto", "on", "off"):
-            raise ValueError(f"fast_path must be 'auto', 'on', or 'off', "
-                             f"got {fast_path!r}")
-        #: Zero-observer loop selection: "auto" uses it whenever eligible,
-        #: "on" demands it (ConfigError otherwise), "off" never uses it.
-        self.fast_path = fast_path
         self.context = context or SimContext(system, seed)
         self.workload = workload
         self.controller_name = controller
@@ -235,8 +229,8 @@ class Simulator:
                                     self.controller.resilience.stats)
 
         # -- observability (all opt-in; None keeps hooks free) ----------
-        #: Span tracer (``--trace-sample``); every hook is an ``is None``
-        #: check, so untraced runs stay bit-identical.
+        #: Span tracer (``--trace-sample``); with one attached the replay
+        #: loop steps one access at a time and calls its hooks.
         self.tracer = None
         #: Windowed metrics recorder (``--interval-ns``).
         self.timeseries = None
@@ -343,22 +337,6 @@ class Simulator:
     # Main loop
     # ------------------------------------------------------------------
 
-    def fast_path_eligible(self) -> bool:
-        """True when no observer could distinguish the fast/slow loops.
-
-        The zero-observer loop (:mod:`repro.sim.fastpath`) elides the
-        per-access object graph and every instrumentation hook; it is
-        only sound when nothing is listening and nothing perturbs the
-        replay (fault injection, resilience retries, nested walks).
-        """
-        return (self.tracer is None
-                and self.timeseries is None
-                and self.context.profiler is None
-                and self._fault_injector is None
-                and not self.controller.resilience.enabled
-                and not self.context.bus.active
-                and not self.virtualized)
-
     def run(self, warmup_fraction: float = 0.2,
             supervisor=None) -> SimResult:
         """Replay the trace; statistics cover the post-warmup region.
@@ -369,90 +347,22 @@ class Simulator:
         its wall-clock watchdog fires.  A simulator restored from a
         checkpoint resumes exactly where it stopped: the loop position
         rides on the object as :class:`RunProgress`.
-
-        With ``fast_path`` "auto" (the default) an unobserved,
-        unsupervised run takes the zero-observer loop instead -- same
-        results, bit for bit, at a fraction of the host cost.
         """
-        trace = self.workload.trace
         state = self._run_state
         if state is None:
             state = self._run_state = RunProgress(
-                index=0, warmup_end=int(len(trace) * warmup_fraction))
-        config = self.system
-        compute_ns = config.cycles_to_ns(self.workload.compute_cycles_per_access)
-        injector = self._fault_injector
-        tracer = self.tracer
-        timeseries = self.timeseries
-        profiler = self.context.profiler
-        stop_reason = None
-
-        use_fast = (self.fast_path != "off" and supervisor is None
-                    and self.fast_path_eligible())
-        if self.fast_path == "on" and not use_fast:
-            from repro.common.errors import ConfigError
-
-            raise ConfigError(
-                "fast_path='on' requires a zero-observer run: no tracer, "
-                "timeseries recorder, profiler, fault injector, run "
-                "supervisor, bus subscriber, resilience mode, or "
-                "virtualization"
-            )
-
+                index=0,
+                warmup_end=int(len(self.workload.trace) * warmup_fraction))
         try:
-            if use_fast:
-                from repro.sim.fastpath import run_fast
-
-                run_fast(self, state)
-            else:
-                # Invariant references hoisted out of the loop body; the
-                # fast path goes further (see repro/sim/fastpath.py).
-                clock = self.clock
-                one_access = self._one_access
-                warmup_end = state.warmup_end
-                mlp = config.mlp_stall_factor
-                trace_len = len(trace)
-                while state.index < trace_len:
-                    if supervisor is not None:
-                        stop_reason = supervisor.on_access(self, state)
-                        if stop_reason is not None:
-                            break
-                    index = state.index
-                    vaddr, is_write = trace[index]
-                    if index == warmup_end:
-                        self._reset_stats()
-                        state.measure_start_ns = clock.now_ns
-                    if injector is not None:
-                        injector.tick(index, clock.now_ns)
-                    clock.advance(compute_ns)
-                    if tracer is not None:
-                        tracer.begin_access(clock.now_ns, index=index,
-                                            vaddr=vaddr, write=is_write)
-                    if profiler is None:
-                        stall_ns = one_access(vaddr, is_write)
-                    else:
-                        profiler.begin("sim.access")
-                        try:
-                            stall_ns = one_access(vaddr, is_write)
-                        finally:
-                            profiler.end()
-                    if tracer is not None:
-                        tracer.end_access(clock.now_ns + stall_ns)
-                    clock.advance(stall_ns * mlp)
-                    if timeseries is not None:
-                        timeseries.maybe_sample(clock.now_ns)
-                    if index >= warmup_end:
-                        state.measured += 1
-                    state.index += 1
-
-                if timeseries is not None:
-                    timeseries.finish(self.clock.now_ns)
+            stop_reason = replay(self, state, supervisor)
+            if self.timeseries is not None:
+                self.timeseries.finish(self.clock.now_ns)
         finally:
             # Flush/close owned writers even when the loop dies early, so
             # --trace-events files are never left truncated and unflushed.
             self.context.close_owned()
 
-        result = self._build_result(state.measured,
+        result = self._build_result(max(0, state.index - state.warmup_end),
                                     self.clock.now_ns - state.measure_start_ns)
         if stop_reason is not None:
             result.truncated = True
@@ -461,110 +371,17 @@ class Simulator:
             self._run_state = None  # finished: a fresh run() starts over
         return result
 
-    def _one_access(self, vaddr: int, is_write: bool) -> float:
-        """Serve one trace record; returns the access's stall time (ns)."""
-        config = self.system
-        bus = self.context.bus
-        tracer = self.tracer
-        vpn, tag, block_index = decompose_vaddr(vaddr, self.huge_pages)
-        stall_ns = 0.0
-        tlb_missed = not self.tlb.lookup(tag)
+    def _serve_miss(self, ppn: int, block_index: int, now_ns: float,
+                    is_write: bool, kind: str, level: int) -> MissResult:
+        """Serve an LLC miss arriving at ``now_ns``.
 
-        if tlb_missed:
-            self._tlb_misses += 1
-            if bus.active:
-                bus.publish("sim.tlb_miss", self.clock.now_ns, vpn=vpn)
-            walk_span = None
-            if tracer is not None:
-                from repro.sim.tracing import CATEGORY_WALK
-
-                walk_span = tracer.begin("page_walk", CATEGORY_WALK,
-                                         self.clock.now_ns, vpn=vpn,
-                                         nested=self.virtualized)
-            stall_ns += self._page_walk(vpn)
-            if tracer is not None:
-                tracer.end(walk_span, self.clock.now_ns + stall_ns)
-            self.tlb.fill(tag)
-
-        ppn = self._translate_vpn(vpn)
-        if ppn is None:
-            return stall_ns
-        paddr = ppn * PAGE_SIZE + (vaddr & (PAGE_SIZE - 1))
-        result = self.hierarchy.access(paddr, is_write=is_write)
-        stall_ns += config.cycles_to_ns(result.latency_cycles)
-        if result.l3_miss:
-            self._l3_data_misses += 1
-            stall_ns += self._serve_miss(ppn, block_index, stall_ns,
-                                         is_write, "data", tlb_missed)
-        self._drain_writebacks(result.dram_writebacks, stall_ns)
-        return stall_ns
-
-    def _page_walk(self, vpn: int) -> float:
-        """Serve a TLB miss; returns its stall contribution."""
-        if self.virtualized:
-            return self._nested_page_walk(vpn)
-        config = self.system
-        stall_ns = 0.0
-        try:
-            walk = self.walker.walk(vpn)
-        except KeyError:
-            return 0.0
-        for level, ptb_address in walk.fetches:
-            result = self.hierarchy.access(ptb_address, is_ptb=True)
-            stall_ns += config.cycles_to_ns(result.latency_cycles)
-            if result.l3_miss:
-                stall_ns += self._serve_miss(
-                    ptb_address >> 12, (ptb_address >> 6) & 63, stall_ns,
-                    False, "ptb", True, level)
-            self._drain_writebacks(result.dram_writebacks, stall_ns)
-            huge_leaf = walk.huge and level == 2
-            self.controller.note_ptb_fetch(
-                level, ptb_address, self.table.ptb_at(ptb_address), huge_leaf
-            )
-        return stall_ns
-
-    def _nested_page_walk(self, vpn: int) -> float:
-        """Serve a TLB miss with a 2D walk (Figure 12b).
-
-        Every fetch -- host PTBs and guest PTBs alike -- flows through the
-        caches and the compression controller; only host PTB fetches feed
-        TMCC's CTE harvesting, per Section V-A3's 2D discussion.
-        """
-        from repro.vm.nested import HOST_FETCH
-
-        config = self.system
-        stall_ns = 0.0
-        try:
-            walk = self.nested_walker.walk(vpn)
-        except KeyError:
-            return 0.0
-        for kind, level, address in walk.fetches:
-            result = self.hierarchy.access(address, is_ptb=True)
-            stall_ns += config.cycles_to_ns(result.latency_cycles)
-            if result.l3_miss:
-                stall_ns += self._serve_miss(
-                    address >> 12, (address >> 6) & 63, stall_ns, False,
-                    f"ptb_{kind}", True, level)
-            self._drain_writebacks(result.dram_writebacks, stall_ns)
-            if kind == HOST_FETCH:
-                self.controller.note_ptb_fetch(
-                    level, address, self.host_table.ptb_at(address),
-                    huge_leaf=False,
-                )
-        return stall_ns
-
-    def _serve_miss(self, ppn: int, block_index: int, stall_ns: float,
-                    is_write: bool, kind: str, after_tlb: bool,
-                    level: int = -1) -> float:
-        """Serve an LLC miss issued ``stall_ns`` into the current access.
-
-        Every miss of the instrumented loop comes through here: it is
-        timed under ``profile.controller.serve_miss`` when profiling,
-        promoted into the open trace when a tracer samples the access,
-        and counted toward Figure 5.  Returns the miss latency.
+        Every miss of the replay loop comes through here: it is timed
+        under ``profile.controller.serve_miss`` when profiling and
+        promoted into the open trace when a tracer samples the access.
+        ``kind`` ("data", "ptb", "ptb_host", "ptb_guest") and the walk
+        ``level`` (-1 for data) only label that trace.
         """
         controller = self.controller
-        now_ns = self.clock.now_ns + stall_ns
         profiler = self.context.profiler
         if profiler is None:
             miss = controller.serve_l3_miss(ppn, block_index, now_ns, is_write)
@@ -582,18 +399,7 @@ class Simulator:
             if level >= 0:
                 args["level"] = level
             tracer.add_timeline("llc_miss", miss.timeline, **args)
-        if miss.path != PATH_CTE_HIT:
-            # Every non-hit path (ML2 included) was a real CTE-cache miss.
-            self._fig5_cte_misses += 1
-            if after_tlb:
-                self._fig5_after_tlb += 1
-        return miss.latency_ns
-
-    def _drain_writebacks(self, blocks, stall_ns: float) -> None:
-        for block in blocks:
-            self.controller.serve_writeback(
-                block >> 6, block & 63, self.clock.now_ns + stall_ns
-            )
+        return miss
 
     # ------------------------------------------------------------------
     # Statistics plumbing

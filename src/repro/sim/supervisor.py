@@ -2,7 +2,7 @@
 
 The ROADMAP's production-scale north star needs long simulations that
 survive faults instead of dying at access 3 million.  The supervisor
-wraps :meth:`repro.sim.simulator.Simulator.run` with three behaviours:
+wraps :meth:`repro.sim.simulator.Simulator.run` with these behaviours:
 
 - **Checkpointing** -- every ``checkpoint_every`` accesses the whole
   simulator object (controller, caches, DRAM queues, RNG streams, clock,
@@ -15,6 +15,10 @@ wraps :meth:`repro.sim.simulator.Simulator.run` with three behaviours:
   :class:`~repro.sim.results.SimResult` flagged ``truncated`` (with the
   stop reason in ``error``) is still returned, so ``--emit-json``
   consumers get every metric collected so far.
+- **Batch cuts** -- the replay loop runs its batched front end only up
+  to the next index at which :meth:`RunSupervisor.on_access` can act
+  (:meth:`RunSupervisor.next_check`), so checkpoints and the watchdog
+  see the simulator at exactly the access index they name.
 - **Error structuring** -- checkpoint I/O failures surface as
   :class:`~repro.common.errors.ResourceError`; malformed checkpoint
   files as :class:`~repro.common.errors.ConfigError` (see the taxonomy
@@ -170,7 +174,8 @@ class RunSupervisor:
 
     def on_access(self, sim: Simulator,
                   state: RunProgress) -> Optional[str]:
-        """Called before each access; a non-None return stops the run."""
+        """Called before the run's first access and before every access
+        :meth:`next_check` names; a non-None return stops the run."""
         if (self.checkpoint_every and state.index
                 and state.index % self.checkpoint_every == 0):
             save_checkpoint(sim, self.checkpoint_path)
@@ -183,6 +188,15 @@ class RunSupervisor:
                 return (f"wall-clock limit of {self.wall_clock_limit_s} s "
                         f"reached at access {state.index}")
         return None
+
+    def next_check(self, index: int) -> int:
+        """The first access index after ``index`` at which
+        :meth:`on_access` acts: the next watchdog stride or checkpoint."""
+        check = index - index % _WATCHDOG_STRIDE + _WATCHDOG_STRIDE
+        every = self.checkpoint_every
+        if every:
+            check = min(check, index - index % every + every)
+        return check
 
     # ------------------------------------------------------------------
     # Entry point

@@ -218,7 +218,6 @@ class JobSpec:
     accesses: int
     scale: float
     workload_seed: int
-    fast_path: str
     huge_pages: bool
     job_id: str = field(default="", compare=False)
     provider_id: str = field(default="", compare=False)
@@ -235,7 +234,6 @@ class JobSpec:
             "accesses": self.accesses,
             "scale": self.scale,
             "workload_seed": self.workload_seed,
-            "fast_path": self.fast_path,
             "huge_pages": self.huge_pages,
         }
 
@@ -272,7 +270,6 @@ class SweepSpec:
     accesses: int = 40_000
     scale: float = 0.4
     workload_seed: int = 1
-    fast_path: str = "auto"
     huge_pages: bool = False
     #: Controller whose budget-``none`` job anchors iso/fraction budgets.
     reference: str = "compresso"
@@ -396,9 +393,6 @@ class SweepSpec:
             raise ConfigError(f"scale must be in (0, 1], got {self.scale}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.fast_path not in ("auto", "on", "off"):
-            raise ConfigError(f"fast_path must be 'auto', 'on', or 'off', "
-                              f"got {self.fast_path!r}")
         if self.job_timeout_s is not None and self.job_timeout_s <= 0:
             raise ConfigError(f"job_timeout_s must be > 0, "
                               f"got {self.job_timeout_s}")
@@ -431,7 +425,6 @@ class SweepSpec:
             "accesses": self.accesses,
             "scale": self.scale,
             "workload_seed": self.workload_seed,
-            "fast_path": self.fast_path,
             "huge_pages": self.huge_pages,
             "reference": self.reference,
             "job_timeout_s": self.job_timeout_s,
@@ -466,8 +459,7 @@ class SweepSpec:
                 index=len(jobs), workload=workload, controller=controller,
                 seed=seed, base_seed=base_seed, repeat=repeat, budget=budget,
                 faults=faults, accesses=self.accesses, scale=self.scale,
-                workload_seed=self.workload_seed, fast_path=self.fast_path,
-                huge_pages=self.huge_pages,
+                workload_seed=self.workload_seed, huge_pages=self.huge_pages,
             )
             job_id = _job_hash(job.identity())
             if job_id in by_identity:

@@ -85,7 +85,7 @@ CREATE TABLE IF NOT EXISTS jobs (
     accesses     INTEGER NOT NULL,
     scale        REAL NOT NULL,
     workload_seed INTEGER NOT NULL,
-    fast_path    TEXT NOT NULL,
+    fast_path    TEXT NOT NULL,  -- retired: always ''
     huge_pages   INTEGER NOT NULL DEFAULT 0,
     provider_id  TEXT NOT NULL DEFAULT '',
     status       TEXT NOT NULL,
@@ -267,12 +267,12 @@ class SweepStore:
                     "workload, controller, seed, base_seed, repeat, "
                     "budget, faults, accesses, scale, workload_seed, "
                     "fast_path, huge_pages, provider_id, status) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, '', "
                     "?, ?, 'pending')",
                     [(job.job_id, sweep_id, job.index, job.workload,
                       job.controller, job.seed, job.base_seed, job.repeat,
                       job.budget.label(), job.faults or "", job.accesses,
-                      job.scale, job.workload_seed, job.fast_path,
+                      job.scale, job.workload_seed,
                       int(job.huge_pages), job.provider_id)
                      for job in jobs])
                 return sweep_id, True
@@ -286,12 +286,12 @@ class SweepStore:
                 "controller, seed, base_seed, repeat, budget, faults, "
                 "accesses, scale, workload_seed, fast_path, huge_pages, "
                 "provider_id, status) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, '', ?, ?, "
                 "'pending')",
                 [(job.job_id, sweep_id, job.index, job.workload,
                   job.controller, job.seed, job.base_seed, job.repeat,
                   job.budget.label(), job.faults or "", job.accesses,
-                  job.scale, job.workload_seed, job.fast_path,
+                  job.scale, job.workload_seed,
                   int(job.huge_pages), job.provider_id)
                  for job in jobs])
         return sweep_id, False
@@ -536,7 +536,7 @@ class SweepStore:
             jobs = conn.execute(
                 "SELECT job_id, idx, workload, controller, seed, base_seed, "
                 "repeat, budget, budget_bytes, faults, accesses, scale, "
-                "workload_seed, fast_path, huge_pages, provider_id, status, "
+                "workload_seed, huge_pages, provider_id, status, "
                 "error, result_json FROM jobs WHERE sweep_id = ? "
                 "ORDER BY idx", (sweep_id,)).fetchall()
             metrics = conn.execute(
@@ -636,7 +636,7 @@ class SweepStore:
                     "fast_path, huge_pages, provider_id, status, error, "
                     "attempts, last_error, quarantined, elapsed_s, "
                     "started_at, finished_at, result_json) VALUES "
-                    "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
+                    "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, '', ?, ?, "
                     "?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (job.get("job_id"), job.get("sweep_id"),
                      job.get("idx", 0), job.get("workload", ""),
@@ -646,7 +646,6 @@ class SweepStore:
                      job.get("budget_bytes") if done else None,
                      job.get("faults", ""), job.get("accesses", 0),
                      job.get("scale", 1.0), job.get("workload_seed", 0),
-                     job.get("fast_path", ""),
                      job.get("huge_pages", 0), job.get("provider_id", ""),
                      "done" if done else "pending",
                      job.get("error", "") if done else "",

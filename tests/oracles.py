@@ -17,12 +17,16 @@ byte-at-a-time bit writer, per-position hash-chain matcher and
 per-field block encoders that the production codecs replaced, kept
 verbatim; ``tests/compression/test_codec_differential.py`` requires
 identical tokens, bitstreams and sizes from both.
+
+:func:`decompose_vaddr` splits one access the way the replay loop once
+did per access; ``tests/sim/test_columns.py`` holds the column-wise
+``trace_columns`` to it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.prefetch import StridePrefetcher
@@ -39,6 +43,12 @@ from repro.compression.block import (
     ZeroBlockCompressor,
 )
 from repro.compression.lz import MAX_MATCH, MIN_MATCH, LZConfig, LZToken
+
+
+def decompose_vaddr(vaddr: int, huge_pages: bool) -> Tuple[int, int, int]:
+    """One access: ``(vpn, tlb tag, block index within the page)``."""
+    vpn = vaddr >> 12
+    return vpn, (vpn >> 9) if huge_pages else vpn, (vaddr & 0xFFF) >> 6
 
 
 class ReferenceSetAssociativeCache:

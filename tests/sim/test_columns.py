@@ -1,15 +1,18 @@
-"""Tests for the shared virtual-address decomposition (`repro.sim.columns`).
+"""Tests for the column-wise virtual-address decomposition
+(`repro.sim.columns`).
 
-Both replay loops split accesses through this module; these tests pin
+The replay loop splits the trace through this module; these tests pin
 the decomposition itself (including the huge-page tag) and prove the
 three `trace_columns` spellings -- numpy, pure python, and the
-beyond-int64 overflow fallback -- agree with the per-access helper.
+beyond-int64 overflow fallback -- agree with the per-access reference
+`decompose_vaddr` in `tests/oracles.py`.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.columns import decompose_vaddr, trace_columns
+from repro.sim.columns import trace_columns
+from tests.oracles import decompose_vaddr
 
 
 def test_decompose_known_values():

@@ -3,11 +3,11 @@
 Two properties keep the replay loop cheap:
 
 1. the per-access record types carry ``__slots__`` (no ``__dict__``),
-   so the millions of short-lived instances a slow run creates stay
-   small -- pinned here with a tracemalloc footprint measurement;
-2. the zero-observer fast loop builds none of those records, and the
-   instrumented loop builds a miss's timeline only for a span tracer --
-   pinned by counting constructions of the record objects.
+   so the instances that still exist stay small -- pinned here with a
+   tracemalloc footprint measurement;
+2. the replay loop builds no ``AccessResult``, and builds a miss's
+   timeline only for a span tracer -- pinned by counting constructions
+   of the record objects.
 """
 
 import tracemalloc
@@ -20,6 +20,7 @@ from repro.core.base import MissResult
 from repro.core.pipeline import ServiceTimeline, StageSpan
 from repro.dram.system import ReadResult
 from repro.sim.simulator import Simulator
+from repro.sim.timeseries import TimeSeriesRecorder
 from repro.sim.tracing import SpanTracer
 from repro.workloads.suite import workload_by_name
 
@@ -68,34 +69,34 @@ def count_records(monkeypatch):
 
 
 def test_fast_loop_constructs_no_per_access_records(monkeypatch):
-    """The fast loop shares the miss path with the instrumented loop
-    but must never build the per-access record objects:
+    """An unobserved run never builds the per-access record objects:
     ``AccessResult`` (``CacheHierarchy.access``) or a miss's
     ``ServiceTimeline``/``StageSpan`` decomposition."""
     counts = count_records(monkeypatch)
     workload = workload_by_name("omnetpp", max_accesses=2_000, scale=0.05)
-    result = Simulator(workload, controller="tmcc", seed=3,
-                       fast_path="on").run()
+    result = Simulator(workload, controller="tmcc", seed=3).run()
     assert result.l3_misses > 0
     assert counts == {"AccessResult": 0, "ServiceTimeline": 0,
                       "StageSpan": 0}
 
-    Simulator(workload, controller="tmcc", seed=3, fast_path="off").run()
-    assert counts["AccessResult"] > 0
-
 
 def test_untraced_instrumented_run_builds_no_timeline(monkeypatch):
     """Timelines are built from span records only for an active span
-    tracer; an untraced instrumented run builds none."""
+    tracer: a run stepped one access at a time by another observer
+    builds none, a traced run builds them."""
     counts = count_records(monkeypatch)
     workload = workload_by_name("omnetpp", max_accesses=2_000, scale=0.05)
-    Simulator(workload, controller="tmcc", seed=3, fast_path="off").run()
-    assert counts["AccessResult"] > 0
-    assert counts["ServiceTimeline"] == 0
-    assert counts["StageSpan"] == 0
+    recorded = Simulator(workload, controller="tmcc", seed=3)
+    recorded.attach_timeseries(
+        TimeSeriesRecorder(recorded.context.metrics, 5_000.0))
+    recorded.run()
+    assert recorded.timeseries.rows
+    assert counts == {"AccessResult": 0, "ServiceTimeline": 0,
+                      "StageSpan": 0}
 
     traced = Simulator(workload, controller="tmcc", seed=3)
     traced.attach_tracer(SpanTracer(sample_every=1))
     traced.run()
+    assert counts["AccessResult"] == 0
     assert counts["ServiceTimeline"] > 0
     assert counts["StageSpan"] > 0
