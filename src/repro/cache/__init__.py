@@ -3,13 +3,12 @@ Table III, and the next-line/stride prefetchers the simulated system uses.
 """
 
 from repro.cache.sa_cache import CacheLine, SetAssociativeCache
-from repro.cache.hierarchy import AccessResult, CacheHierarchy, HierarchyConfig
+from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.prefetch import NextLinePrefetcher, StridePrefetcher
 
 __all__ = [
     "CacheLine",
     "SetAssociativeCache",
-    "AccessResult",
     "CacheHierarchy",
     "HierarchyConfig",
     "NextLinePrefetcher",

@@ -4,17 +4,17 @@ Structure: 64 KB L1 (data+instruction modeled as one), 256 KB inclusive L2,
 8 MB exclusive L3, with L1/L2 next-line + stride prefetchers.  Latencies
 are Table III's: L1 3 cycles, L2 +11, L3 +50.
 
-The hierarchy serves *block* requests and reports whether DRAM must be
-involved (``l3_miss``); the memory controller owns everything below.  Dirty
-L3 victims surface as ``dram_writebacks`` so the controller can model write
-traffic and compressed-page bookkeeping.
+The hierarchy serves *block* requests and reports the hit level (3:
+DRAM must be involved); the memory controller owns everything below.
+Dirty L3 victims land in a caller-owned writeback list so the controller
+can model write traffic and compressed-page bookkeeping.
 
 Storage is block-keyed (``sa_cache.SetAssociativeCache``): the access
 path and fill helpers below move one packed ``flags`` int per line
 between the levels' ``block -> flags`` dicts and per-set recency order
 lists -- no :class:`CacheLine` objects move between levels.  The
-replay loop and :meth:`CacheHierarchy.access` share this one access
-path; its behaviour stays pinned by the ``--emit-json`` goldens, the
+replay loop is this access path's one caller; its behaviour stays
+pinned by the ``--emit-json`` goldens, the
 cascade by the hierarchy differential test against an oracle built
 from the ``OrderedDict`` caches in ``tests/oracles.py``, and the
 per-cache semantics by the single-cache differential tests against the
@@ -23,7 +23,7 @@ same oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cache.prefetch import NextLinePrefetcher, StridePrefetcher
@@ -50,22 +50,9 @@ class HierarchyConfig:
     l2_stride_degree: int = 4
 
 
-#: :meth:`CacheHierarchy.access_fast` hit levels, by name.
-_HIT_LEVEL_NAMES = ("l1", "l2", "l3", "memory")
-
 #: Flag bits a line keeps when it moves up a level; dirtiness is the
 #: requester's (a write) at L1 and the line's own below.
 _CARRIED = COMPRESSED | PTB
-
-
-@dataclass(slots=True)
-class AccessResult:
-    """What one block access did."""
-
-    hit_level: str  # "l1" | "l2" | "l3" | "memory"
-    latency_cycles: int
-    l3_miss: bool
-    dram_writebacks: List[int] = field(default_factory=list)
 
 
 class CacheHierarchy:
@@ -99,23 +86,15 @@ class CacheHierarchy:
     # Main access path
     # ------------------------------------------------------------------
 
-    def access(self, address: int, is_write: bool = False,
-               is_ptb: bool = False) -> AccessResult:
-        """Serve one demand access; returns where it hit and at what cost."""
-        writebacks: List[int] = []
-        level = self.access_fast(address >> 6, is_write, is_ptb, writebacks)
-        return AccessResult(_HIT_LEVEL_NAMES[level], self._level_cycles[level],
-                            level == 3, writebacks)
-
     def access_fast(self, block: int, is_write: bool, is_ptb: bool,
                     writebacks: List[int]) -> int:
         """Serve one demand access to ``block``; returns the hit level.
 
         0=L1, 1=L2, 2=L3, 3=memory (the caller adds the DRAM latency;
         the fills are already done).  Dirty L3 victims are appended to
-        the caller-owned ``writebacks`` list.  The replay loop inlines
-        its L1-hit half and calls :meth:`access_fast_miss` directly, to
-        skip the :class:`AccessResult` of :meth:`access`.
+        the caller-owned ``writebacks`` list.  The replay loop calls it
+        for page-walk fetches; for data it inlines the L1-hit half and
+        calls :meth:`access_fast_miss` directly.
         """
         if self._prefetch_on:
             outstanding = self._next_line._outstanding

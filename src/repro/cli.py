@@ -274,11 +274,6 @@ def _validate_observability_args(args: argparse.Namespace) -> Optional[str]:
         return "--interval-ns needs --interval-out PATH"
     if args.interval_out and args.interval_ns is None:
         return "--interval-out needs --interval-ns NS"
-    observability = (args.trace_out or args.interval_ns is not None
-                     or args.profile)
-    if observability and args.cores > 1:
-        return ("--trace-out/--interval-ns/--profile only support "
-                "single-core runs")
     if args.profile and args.resume is not None:
         return ("--profile cannot be combined with --resume; profiling "
                 "hooks are wired at construction time")
@@ -296,18 +291,12 @@ def _validate_run_args(args: argparse.Namespace) -> Optional[str]:
         if args.faults:
             return ("--faults cannot be combined with --resume; the "
                     "fault plan is part of the checkpoint")
-        if args.cores > 1:
-            return "--resume only supports single-core runs"
         return None
     if args.workload is None:
         return "a workload is required unless --controller list or --resume"
     if args.workload not in PAPER_WORKLOAD_NAMES:
         return (f"unknown workload {args.workload!r}; "
                 f"choose from {PAPER_WORKLOAD_NAMES}")
-    if args.cores > 1 and args.faults:
-        return "--faults only supports single-core runs"
-    if args.cores > 1 and (args.checkpoint or args.wall_clock_limit):
-        return "--checkpoint/--wall-clock-limit only support single-core runs"
     return None
 
 
@@ -363,29 +352,26 @@ def _run_simulation(args: argparse.Namespace, holder: dict) -> int:
             sim = load_checkpoint(args.resume)
             controller_name = sim.controller_name
         else:
-            from repro.sim.multicore import MultiCoreSimulator
             from repro.sim.simulator import Simulator
 
             workload = workload_by_name(args.workload,
                                         max_accesses=args.accesses,
                                         scale=args.scale)
             controller_name = args.controller
-            if args.cores > 1:
-                sim = MultiCoreSimulator(workload, num_cores=args.cores,
-                                         controller=args.controller,
-                                         seed=args.seed)
-            else:
-                context = None
-                if args.profile:
-                    # Probes capture the profiler at construction, so it
-                    # must be armed on the context *before* the build.
-                    from repro.sim.context import SimContext
+            context = None
+            if args.profile:
+                # Probes capture the profiler at construction, so it
+                # must be armed on the context *before* the build.
+                from repro.sim.context import SimContext
 
-                    context = SimContext(seed=args.seed)
-                    context.enable_profiling()
-                sim = Simulator(workload, controller=args.controller,
-                                seed=args.seed, fault_plan=plan,
-                                context=context)
+                context = SimContext(seed=args.seed)
+                context.enable_profiling()
+            # Multi-core runs place pages without warm-up drift.
+            cores = ({} if args.cores == 1
+                     else {"cores": args.cores, "placement_drift": 0.0})
+            sim = Simulator(workload, controller=args.controller,
+                            seed=args.seed, fault_plan=plan,
+                            context=context, **cores)
     except BaseException:
         if event_writer is not None:
             event_writer.close()
@@ -432,8 +418,7 @@ def _run_simulation(args: argparse.Namespace, holder: dict) -> int:
 
         record = result.as_dict()
         record["metrics_tree"] = nest_metrics(result.metrics)
-        if hasattr(sim, "describe_run"):
-            record["run_config"] = sim.describe_run()
+        record["run_config"] = sim.describe_run()
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
         print(f"{sim.workload.name} / {controller_name}: "
@@ -1188,7 +1173,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=float, default=0.4)
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--cores", type=int, default=1,
-                     help=">1 uses the multi-core engine")
+                     help="cores sharing the L3, controller and DRAM "
+                          "(Table III: 4)")
     run.add_argument("--breakdown", action="store_true",
                      help="print the per-path per-stage miss-latency table")
     run.add_argument("--emit-json", action="store_true",

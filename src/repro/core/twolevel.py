@@ -480,3 +480,11 @@ class TwoLevelController(MemoryController):
         if not misses:
             return 0.0
         return self.stats.count_of("ml2_accesses") / misses
+
+    def ml2_metrics(self) -> Dict[str, float]:
+        """The ``controller.ml2`` metrics source."""
+        return {
+            "access_rate": self.ml2_access_rate(),
+            "ml1_pages": self.ml1_page_count,
+            "ml2_pages": self.ml2_page_count,
+        }

@@ -7,8 +7,8 @@
   :class:`EventBus`, :class:`MetricsRegistry`, :class:`Probe`.
 - :mod:`repro.sim.simulator` -- the engine: replays a workload trace
   through TLB, page walker, cache hierarchy, compression controller, and
-  DRAM, accounting latency per access.
-- :mod:`repro.sim.multicore` -- the 4-core variant (Table III).
+  DRAM, accounting latency per access, on one core or several
+  (``Simulator(workload, cores=4)`` is Table III's machine).
 - :mod:`repro.sim.results` -- the result record every figure reads from.
 - :mod:`repro.sim.experiments` -- orchestration for the paper's headline
   comparisons (iso-capacity performance, iso-performance capacity,
@@ -27,7 +27,6 @@ from repro.sim.instrument import (
     nest_metrics,
 )
 from repro.sim.simulator import Simulator
-from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.results import SimResult
 from repro.sim.experiments import (
     run_workload,
@@ -45,7 +44,6 @@ __all__ = [
     "Probe",
     "nest_metrics",
     "Simulator",
-    "MultiCoreSimulator",
     "SimResult",
     "run_workload",
     "iso_capacity_comparison",

@@ -43,27 +43,8 @@ def run_workload(
     huge_pages: bool = False,
     seed: int = 1,
     model: Optional[PageCompressionModel] = None,
-    cores: int = 1,
 ) -> SimResult:
-    """Run one (workload, controller) configuration end to end.
-
-    ``cores > 1`` routes through the multi-core engine (Table III's
-    4-core configuration); huge pages are a single-core-only knob.
-    """
-    if cores > 1:
-        if huge_pages:
-            raise ValueError("huge_pages is only supported with cores=1")
-        from repro.sim.multicore import MultiCoreSimulator
-
-        return MultiCoreSimulator(
-            workload,
-            num_cores=cores,
-            controller=controller,
-            system=system,
-            dram_budget_bytes=dram_budget_bytes,
-            seed=seed,
-            model=model,
-        ).run()
+    """Run one (workload, controller) configuration end to end."""
     from repro.sweep.worker import execute_job
 
     record = execute_job(

@@ -7,8 +7,8 @@
     -> ``MemoryController.serve_l3_miss`` -> Figure 5 counts -> dirty
     writebacks
 
-without building per-access records (``AccessResult``,
-``ServiceTimeline``):
+without building per-access records (a miss's ``ServiceTimeline`` is
+built only for a span tracer):
 
 * the trace is preprocessed column-wise (vpn / TLB tag / global block /
   write columns, via numpy when available);
@@ -18,8 +18,8 @@ without building per-access records (``AccessResult``,
 * every invariant attribute lookup is hoisted into a bound local, and
   cache-level latencies are precomputed per hit level.
 
-Observers never choose a different loop; they choose how far the
-batched front end may run:
+Observers and the core count never choose a different loop; they
+choose how far the batched front end may run:
 
 * a span tracer, time-series recorder, fault injector or host profiler
   sees every access, so with one attached the batch widths are zero and
@@ -28,7 +28,17 @@ batched front end may run:
   indices where it may checkpoint or check its watchdog;
 * event-bus subscribers, resilience and virtualization change nothing:
   their events and paths all hang off TLB misses and LLC misses, which
-  take the per-access step anyway.
+  take the per-access step anyway;
+* with more than one core the widths are zero too, and a core switch
+  runs before every step.  Core ``i`` replays trace indices ``i``,
+  ``i + cores``, ... (the round-robin split) straight from the shared
+  columns.  The switch picks the least-advanced core with work left
+  (ties to the lowest index), swaps in that core's hoisted locals when
+  the core changes, and runs the supervisor, the warm-up reset, the
+  fault injector and the time-series sampler on the count of accesses
+  executed so far.  It hangs off the supervisor's ``index == cut``
+  test, which fires before every step when ``cores > 1``, so a
+  single-core run pays nothing for it.
 """
 
 from __future__ import annotations
@@ -46,6 +56,20 @@ from repro.vm.nested import HOST_FETCH
 
 #: Largest pre-classified chunk the batched front end will take at once.
 _MAX_CHUNK = 512
+
+
+def _core_locals(core) -> tuple:
+    """The hot per-core references the loop hoists into locals."""
+    tlb = core.tlb
+    lru = tlb._lru
+    hierarchy = core.hierarchy
+    l1 = hierarchy.l1
+    walker = core.walker
+    return (lru._slot, lru.move_to_end, lru.insert_mru, lru.pop_lru,
+            tlb.stats, hierarchy.access_fast, hierarchy.access_fast_miss,
+            hierarchy._next_line._outstanding, l1._index, l1._index.get,
+            l1._orders, l1.stats, walker.walks, walker.ptb_fetches,
+            walker.pwc.first_fetch_level, walker.pwc.fill)
 
 
 def replay(sim, state, supervisor=None) -> Optional[str]:
@@ -89,42 +113,29 @@ def replay(sim, state, supervisor=None) -> Optional[str]:
     timeseries = sim.timeseries
     injector = sim._fault_injector
     profiler = sim.context.profiler
-    stepping = not (tracer is None and timeseries is None
-                    and injector is None and profiler is None)
+    multi = len(sim.cores) > 1
+    stepping = multi or not (tracer is None and timeseries is None
+                             and injector is None and profiler is None)
     bus = sim.context.bus
+    counters = sim.counters
 
-    # Hoisted hot references.
-    tlb = sim.tlb
-    tlb_lru = tlb._lru
-    tlb_slots = tlb_lru._slot
-    tlb_move = tlb_lru.move_to_end
-    tlb_insert = tlb_lru.insert_mru
-    tlb_pop = tlb_lru.pop_lru
-    tlb_entries = tlb.entries
-    tlb_stats = tlb.stats
+    # Hoisted hot references.  The per-core ones come from one tuple
+    # per core (the L1 probe of a data access is inlined below, batched
+    # and per access; nl_outstanding and the l1_* locals are the
+    # ingredients of CacheHierarchy.access_fast's L1-hit half).
+    core_locals = [_core_locals(core) for core in sim.cores]
+    (tlb_slots, tlb_move, tlb_insert, tlb_pop, tlb_stats, access_fast,
+     access_miss, nl_outstanding, l1_index, l1_index_get, l1_orders,
+     l1_stats, walks_counter, ptb_fetches_counter, pwc_first,
+     pwc_fill) = core_locals[0]
+    tlb_entries = sim.tlb.entries
     controller = sim.controller
     serve_miss = sim._serve_miss
     serve_writeback = controller.serve_writeback
     hierarchy = sim.hierarchy
-    access_fast = hierarchy.access_fast
-    access_miss = hierarchy.access_fast_miss
-    # The L1 probe of a data access is inlined below, batched and per
-    # access; these are the ingredients of CacheHierarchy.access_fast's
-    # L1-hit half.
     prefetch_on = hierarchy.config.enable_prefetch
-    nl_outstanding = hierarchy._next_line._outstanding
-    l1 = hierarchy.l1
-    l1_index = l1._index
-    l1_index_get = l1_index.get
-    l1_orders = l1._orders
-    l1_mask = l1.num_sets - 1
-    l1_stats = l1.stats
+    l1_mask = hierarchy.l1.num_sets - 1
     lat_l1 = lat[0]
-    walker = sim.walker
-    walks_counter = walker.walks
-    ptb_fetches_counter = walker.ptb_fetches
-    pwc_first = walker.pwc.first_fetch_level
-    pwc_fill = walker.pwc.fill
     walk_path = sim.table.walk_path
     nested_walk = sim.nested_walker.walk if virtualized else None
     # vpn -> (level, ptb address, table, huge leaf, kind) fetches | None
@@ -166,17 +177,79 @@ def replay(sim, state, supervisor=None) -> Optional[str]:
     miss_at = -1
     # The next index at which the supervisor acts; batches stop there.
     cut = n if supervisor is None else index
+    stop = n
     stop_reason = None
 
+    if multi:
+        # ``index`` is the trace index of the access in flight and
+        # ``cut`` the one after it, so the core switch runs before every
+        # step; the switch owns the warm-up, the supervisor, the fault
+        # injector and the time-series sampler, which count executed
+        # accesses (``executed``) instead of trace indices.
+        positions = state.positions
+        clocks = state.clocks
+        ncores = len(positions)
+        active = [c for c in range(ncores) if positions[c] < n]
+        executed = state.index
+        core = -1  # the core whose locals are swapped in; none yet
+        multi_warmup = warmup_end
+        multi_cut = -1 if supervisor is None else executed
+        multi_injector, multi_timeseries = injector, timeseries
+        index = cut = tlb_stop = 0
+        warmup_end = -1
+        stop = n + 1
+        injector = timeseries = None
+
     try:
-        while index < n:
+        while index < stop:
             if index == cut:
-                clock.now_ns = now
-                state.index = index
-                stop_reason = supervisor.on_access(sim, state)
-                if stop_reason is not None:
-                    break
-                cut = supervisor.next_check(index)
+                if multi:
+                    # -- core switch (cores > 1 only) --------------------
+                    if core >= 0:
+                        # Book the access that just ran.
+                        executed += 1
+                        positions[core] = index = index - 1 + ncores
+                        clocks[core] = now
+                        if index >= n:
+                            active.remove(core)
+                    if not active:
+                        break
+                    pick = min(active, key=clocks.__getitem__)
+                    start = clocks[pick]
+                    # The least-advanced core runs next, so the sim
+                    # clock (the start of the access in flight) never
+                    # goes backwards.
+                    clock.now_ns = start
+                    if multi_timeseries is not None:
+                        multi_timeseries.maybe_sample(start)
+                    if executed == multi_cut:
+                        state.index = executed
+                        stop_reason = supervisor.on_access(sim, state)
+                        if stop_reason is not None:
+                            break
+                        multi_cut = supervisor.next_check(executed)
+                    if executed == multi_warmup:
+                        reset_stats()
+                        state.measure_start_ns = max(clocks)
+                    if pick != core:
+                        core = pick
+                        now = start
+                        (tlb_slots, tlb_move, tlb_insert, tlb_pop,
+                         tlb_stats, access_fast, access_miss,
+                         nl_outstanding, l1_index, l1_index_get, l1_orders,
+                         l1_stats, walks_counter, ptb_fetches_counter,
+                         pwc_first, pwc_fill) = core_locals[core]
+                    if multi_injector is not None:
+                        multi_injector.tick(executed, now)
+                    index = positions[core]
+                    cut = index + 1
+                else:
+                    clock.now_ns = now
+                    state.index = index
+                    stop_reason = supervisor.on_access(sim, state)
+                    if stop_reason is not None:
+                        break
+                    cut = supervisor.next_check(index)
             if index == warmup_end:
                 clock.now_ns = now
                 reset_stats()
@@ -289,10 +362,14 @@ def replay(sim, state, supervisor=None) -> Optional[str]:
                     tlb_move(tag)
                 else:
                     tlb_missed = True
-                    sim._tlb_misses += 1
+                    counters.tlb_misses += 1
                     vpn = vpns[index]
                     if bus.active:
-                        bus.publish("sim.tlb_miss", now, vpn=vpn)
+                        if multi:
+                            bus.publish("sim.tlb_miss", now, vpn=vpn,
+                                        core=core)
+                        else:
+                            bus.publish("sim.tlb_miss", now, vpn=vpn)
                     if tracer is not None:
                         walk_span = tracer.begin(
                             "page_walk", CATEGORY_WALK, now, vpn=vpn,
@@ -344,8 +421,8 @@ def replay(sim, state, supervisor=None) -> Optional[str]:
                                 now + stall, False, kind, level)
                             stall += latency
                             if path != PATH_CTE_HIT:
-                                sim._fig5_cte_misses += 1
-                                sim._fig5_after_tlb += 1
+                                counters.fig5_cte_misses += 1
+                                counters.fig5_after_tlb += 1
                         if writebacks:
                             drain_at = now + stall
                             for victim in writebacks:
@@ -386,7 +463,7 @@ def replay(sim, state, supervisor=None) -> Optional[str]:
                                             writebacks)
                     stall += lat[hit_level]
                     if hit_level == 3:
-                        sim._l3_data_misses += 1
+                        counters.l3_data_misses += 1
                         latency, path, _ = serve_miss(
                             block >> 6, block & 63, now + stall, is_write,
                             "data", -1)
@@ -394,9 +471,9 @@ def replay(sim, state, supervisor=None) -> Optional[str]:
                         if path != PATH_CTE_HIT:
                             # Every non-hit path (ML2 included) was a real
                             # CTE-cache miss.
-                            sim._fig5_cte_misses += 1
+                            counters.fig5_cte_misses += 1
                             if tlb_missed:
-                                sim._fig5_after_tlb += 1
+                                counters.fig5_after_tlb += 1
                     if writebacks:
                         drain_at = now + stall
                         for victim in writebacks:
@@ -418,6 +495,10 @@ def replay(sim, state, supervisor=None) -> Optional[str]:
             index += 1
     finally:
         # Flush loop-local state back onto the simulator, also on error.
-        clock.now_ns = now
-        state.index = index
+        if multi:
+            clock.now_ns = max(clocks)
+            state.index = executed
+        else:
+            clock.now_ns = now
+            state.index = index
     return stop_reason

@@ -8,6 +8,15 @@ itself is :func:`repro.sim.replay.replay`):
     controller (CTE cache / CTE fetch / ML2 decompress / migrations) ->
     DRAM banks and queues
 
+The core count is a dimension of the one simulator, not a second
+engine: ``Simulator(workload, cores=4)`` is Table III's machine.  Each
+core owns a TLB, a page walker with its page-walk cache, and an L1/L2
+with prefetchers (a :class:`Core`); the L3, the compression controller
+and DRAM are shared, and so are the page table and the page placement.
+The trace is split round-robin into one stream per core.  The core
+count only chooses how the replay loop runs (one core: batched; more:
+one access at a time, least-advanced core first), never which loop.
+
 Latency accounting follows Section VI's spirit: on-chip cycles and DRAM
 nanoseconds accumulate per access; the wall clock advances by compute
 time plus the fraction of the memory stall the 4-wide OoO core cannot
@@ -25,7 +34,7 @@ decorating a class -- no simulator edits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.units import PAGE_SIZE
@@ -54,17 +63,63 @@ class RunProgress:
     """Where a (possibly supervised) trace replay currently stands.
 
     Lives on the simulator so a checkpoint of the simulator object
-    captures the loop position alongside every component's state.  The
-    measured accesses are those from ``warmup_end`` up to ``index``.
+    captures the loop position alongside every component's state.
+    ``index`` counts the accesses executed so far; the measured ones
+    are those from ``warmup_end`` up to ``index``.  With more than one
+    core, ``positions`` holds each core's next trace index and
+    ``clocks`` each core's local time.
     """
 
     index: int
     warmup_end: int
     measure_start_ns: float = 0.0
+    positions: Optional[List[int]] = None
+    clocks: Optional[List[float]] = None
+
+
+class Core(NamedTuple):
+    """One core's private structures."""
+
+    tlb: TLB
+    walker: PageWalker
+    hierarchy: CacheHierarchy
+
+
+class SimCounters:
+    """The replay loop's own counters: the ``sim`` metrics source.
+
+    They live apart from the simulator so that the metrics registry
+    holds no reference back to it: a simulator that registered its own
+    bound methods would be a reference cycle, freed only by the cyclic
+    garbage collector.  The registry zeroes them at the warm-up
+    boundary through :meth:`reset`.
+    """
+
+    __slots__ = ("clock", "tlb_misses", "l3_data_misses",
+                 "fig5_cte_misses", "fig5_after_tlb")
+
+    def __init__(self, clock) -> None:
+        self.clock = clock
+        self.reset()
+
+    def reset(self) -> None:
+        self.tlb_misses = 0
+        self.l3_data_misses = 0
+        self.fig5_cte_misses = 0
+        self.fig5_after_tlb = 0
+
+    def __call__(self) -> Dict[str, float]:
+        return {
+            "tlb_misses": self.tlb_misses,
+            "l3_data_misses": self.l3_data_misses,
+            "fig5_cte_misses": self.fig5_cte_misses,
+            "fig5_after_tlb": self.fig5_after_tlb,
+            "now_ns": self.clock.now_ns,
+        }
 
 
 class Simulator:
-    """One workload x one memory-system configuration."""
+    """One workload x one memory-system configuration x ``cores`` cores."""
 
     def __init__(
         self,
@@ -80,12 +135,18 @@ class Simulator:
         context: Optional[SimContext] = None,
         fault_plan: Optional[FaultPlan] = None,
         resilience: bool = False,
+        cores: int = 1,
     ) -> None:
         if controller not in CONTROLLER_REGISTRY:
             raise ValueError(f"unknown controller {controller!r}; "
                              f"choose from {CONTROLLER_REGISTRY.names()}")
         if virtualized and huge_pages:
             raise ValueError("virtualized mode models 4 KB guest pages only")
+        if cores < 1:
+            raise ValueError(f"need at least one core, got {cores}")
+        if cores > 1 and (huge_pages or virtualized):
+            raise ValueError("huge_pages and virtualized runs model one "
+                             "core only")
         self.context = context or SimContext(system, seed)
         self.workload = workload
         self.controller_name = controller
@@ -120,18 +181,33 @@ class Simulator:
             populator.finalize_noise()
             self._vpn_to_ppn = dict(populator.mapped_pages)
 
-        self.tlb = self.context.register(
-            "tlb", TLB(entries=self.system.tlb_entries))
-        self.walker = self.context.register("walker", PageWalker(self.table))
-        self.context.register("walker.pwc", self.walker.pwc)
-        self.context.metrics.attach("walker.walks", self.walker.walks)
-        self.context.metrics.attach("walker.ptb_fetches",
-                                    self.walker.ptb_fetches)
-        self.hierarchy = self.context.register(
-            "cache", CacheHierarchy(self.system.cache))
-        self.context.metrics.attach("cache.l1", self.hierarchy.l1.stats)
-        self.context.metrics.attach("cache.l2", self.hierarchy.l2.stats)
-        self.context.metrics.attach("cache.l3", self.hierarchy.l3.stats)
+        # -- per-core structures in front of one shared L3 ---------------
+        #: Private TLB, walker (+PWC) and L1/L2 per core; a single core's
+        #: components sit at the top of the tree (``tlb``, ``cache.l1``),
+        #: core ``i`` of several under ``core<i>.``.
+        self.cores: List[Core] = []
+        shared_l3 = None
+        for index in range(cores):
+            prefix = f"core{index}." if cores > 1 else ""
+            tlb = self.context.register(
+                prefix + "tlb", TLB(entries=self.system.tlb_entries))
+            walker = self.context.register(prefix + "walker",
+                                           PageWalker(self.table))
+            self.context.register(prefix + "walker.pwc", walker.pwc)
+            self.context.metrics.attach(prefix + "walker.walks", walker.walks)
+            self.context.metrics.attach(prefix + "walker.ptb_fetches",
+                                        walker.ptb_fetches)
+            hierarchy = self.context.register(
+                prefix + "cache",
+                CacheHierarchy(self.system.cache, shared_l3=shared_l3))
+            shared_l3 = hierarchy.l3
+            self.context.metrics.attach(prefix + "cache.l1",
+                                        hierarchy.l1.stats)
+            self.context.metrics.attach(prefix + "cache.l2",
+                                        hierarchy.l2.stats)
+            self.cores.append(Core(tlb, walker, hierarchy))
+        self.context.metrics.attach("cache.l3", shared_l3.stats)
+        self.tlb, self.walker, self.hierarchy = self.cores[0]
         self.dram = self.context.register("dram", DRAMSystem(self.system.dram))
 
         # -- virtualization: a host page table behind the guest's --------
@@ -210,7 +286,8 @@ class Simulator:
         if isinstance(self.controller, TwoLevelController):
             self.controller.initialize(data_ppns, hotness, table_ppns,
                                        self.model, dram_budget_bytes)
-            self.context.metrics.attach("controller.ml2", self._ml2_metrics)
+            self.context.metrics.attach("controller.ml2",
+                                        self.controller.ml2_metrics)
         else:
             self.controller.initialize(data_ppns, hotness, table_ppns, self.model)
 
@@ -236,15 +313,12 @@ class Simulator:
         self.timeseries = None
 
         # -- per-run counters -------------------------------------------
-        self._fig5_cte_misses = 0
-        self._fig5_after_tlb = 0
-        self._l3_data_misses = 0
-        self._tlb_misses = 0
+        self.counters = SimCounters(self.clock)
+        self.context.metrics.attach("sim", self.counters)
         #: In-flight replay position; ``None`` between runs.  A run
         #: supervisor checkpoints the simulator mid-loop, so progress is
         #: part of the object's picklable state.
         self._run_state: Optional[RunProgress] = None
-        self.context.metrics.attach("sim", self._sim_metrics)
 
     # ------------------------------------------------------------------
     # Observability attachment
@@ -267,8 +341,10 @@ class Simulator:
 
     def describe_run(self) -> Dict[str, object]:
         """The run's configuration, for ``run_config`` in ``--emit-json``
-        documents and the header of ``repro report``."""
-        return {
+        documents and the header of ``repro report``.  ``cores`` appears
+        only for a multi-core run, so single-core documents keep their
+        bytes."""
+        config = {
             "workload": self.workload.name,
             "controller": self.controller.describe(),
             "seed": self.context.seed,
@@ -280,6 +356,9 @@ class Simulator:
             "tlb_entries": self.system.tlb_entries,
             "mlp_stall_factor": self.system.mlp_stall_factor,
         }
+        if len(self.cores) > 1:
+            config["cores"] = len(self.cores)
+        return config
 
     # ------------------------------------------------------------------
     # Setup helpers
@@ -353,6 +432,12 @@ class Simulator:
             state = self._run_state = RunProgress(
                 index=0,
                 warmup_end=int(len(self.workload.trace) * warmup_fraction))
+            cores = len(self.cores)
+            if cores > 1:
+                # Round-robin streams: core i replays trace indices
+                # i, i + cores, i + 2 * cores, ...
+                state.positions = list(range(cores))
+                state.clocks = [self.clock.now_ns] * cores
         try:
             stop_reason = replay(self, state, supervisor)
             if self.timeseries is not None:
@@ -405,34 +490,12 @@ class Simulator:
     # Statistics plumbing
     # ------------------------------------------------------------------
 
-    def _sim_metrics(self) -> Dict[str, float]:
-        """The simulator's own counters, as a metrics source."""
-        return {
-            "tlb_misses": self._tlb_misses,
-            "l3_data_misses": self._l3_data_misses,
-            "fig5_cte_misses": self._fig5_cte_misses,
-            "fig5_after_tlb": self._fig5_after_tlb,
-            "now_ns": self.clock.now_ns,
-        }
-
-    def _ml2_metrics(self) -> Dict[str, float]:
-        controller = self.controller
-        return {
-            "access_rate": controller.ml2_access_rate(),
-            "ml1_pages": controller.ml1_page_count,
-            "ml2_pages": controller.ml2_page_count,
-        }
-
     def metrics_snapshot(self) -> Dict[str, float]:
         """Every component's statistics under namespaced keys."""
         return self.context.metrics.snapshot()
 
     def _reset_stats(self) -> None:
         self.context.reset_metrics()
-        self._fig5_cte_misses = 0
-        self._fig5_after_tlb = 0
-        self._l3_data_misses = 0
-        self._tlb_misses = 0
         if self.timeseries is not None:
             # Re-baseline deltas on the zeroed registry so the first
             # measured window is not one huge negative delta.
@@ -441,25 +504,37 @@ class Simulator:
     def _build_result(self, accesses: int, elapsed_ns: float) -> SimResult:
         controller = self.controller
         stats = controller.stats
+        counters = self.counters
         cte_hit_rate = getattr(controller, "cte_hit_rate", 1.0)
         cte_misses = 0
         if hasattr(controller, "cte_cache"):
             cte_misses = controller.cte_cache.stats.misses
+        if len(self.cores) == 1:
+            tlb_miss_rate = self.tlb.stats.miss_rate
+        else:
+            # Aggregate over the cores' TLBs.  Multi-core documents list
+            # these three counters even at zero.
+            lookups = sum(core.tlb.stats.total for core in self.cores)
+            tlb_miss_rate = (counters.tlb_misses / lookups
+                             if lookups else 0.0)
+            stats.counter("l3_misses")
+            self.dram.stats.counter("reads")
+            self.dram.stats.counter("writes")
         result = SimResult(
             workload=self.workload.name,
             controller=self.controller_name,
             accesses=accesses,
             elapsed_ns=elapsed_ns,
-            tlb_miss_rate=self.tlb.stats.miss_rate,
-            tlb_misses=self._tlb_misses,
+            tlb_miss_rate=tlb_miss_rate,
+            tlb_misses=counters.tlb_misses,
             cte_hit_rate=cte_hit_rate,
             cte_misses=cte_misses,
             cte_misses_after_tlb_miss=(
-                self._fig5_after_tlb / self._fig5_cte_misses
-                if self._fig5_cte_misses else 0.0
+                counters.fig5_after_tlb / counters.fig5_cte_misses
+                if counters.fig5_cte_misses else 0.0
             ),
             l3_misses=stats.count_of("l3_misses"),
-            l3_data_misses=self._l3_data_misses,
+            l3_data_misses=counters.l3_data_misses,
             avg_l3_miss_latency_ns=controller.average_miss_latency_ns,
             dram_reads=self.dram.stats.count_of("reads"),
             dram_writes=self.dram.stats.count_of("writes"),

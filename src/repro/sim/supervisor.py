@@ -10,6 +10,9 @@ wraps :meth:`repro.sim.simulator.Simulator.run` with these behaviours:
   atomically to ``checkpoint_path``.  Restoring with
   :func:`load_checkpoint` and calling ``run()`` again continues the
   replay with bit-identical results: RNG state is part of the pickle.
+  Access indices count the accesses executed so far, over every core
+  of a multi-core run, whose per-core positions and clocks ride in
+  ``RunProgress``.
 - **Wall-clock watchdog** -- when ``wall_clock_limit_s`` elapses the run
   stops *gracefully*: a final checkpoint is written and a partial
   :class:`~repro.sim.results.SimResult` flagged ``truncated`` (with the
@@ -48,7 +51,7 @@ from repro.sim.results import SimResult
 from repro.sim.simulator import RunProgress, Simulator
 
 #: Bump when the pickled layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: The watchdog samples the wall clock once per this many accesses --
 #: cheap enough to leave on, coarse enough to stay off the hot path.

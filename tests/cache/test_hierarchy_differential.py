@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.prefetch import NextLinePrefetcher
-from tests.oracles import ReferenceCacheHierarchy, ReferenceNextLinePrefetcher
+from tests.oracles import (
+    ReferenceCacheHierarchy, ReferenceNextLinePrefetcher, access)
 
 
 # L1 4 sets x 2 ways, L2 8 x 2, L3 8 x 4: ~100 blocks keep every level
@@ -77,7 +78,7 @@ def test_hierarchy_matches_reference(prefetch, ops):
     for op in ops:
         if op[0] in ("access", "stream"):
             for block, is_write, is_ptb in accesses(op):
-                result = dut.access(block << 6, is_write, is_ptb)
+                result = access(dut, block << 6, is_write, is_ptb)
                 level, writebacks = oracle.access(block << 6, is_write, is_ptb)
                 assert result.hit_level == level, op
                 assert result.dram_writebacks == writebacks, op

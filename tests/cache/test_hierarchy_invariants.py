@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.common.units import KIB
+from tests.oracles import access
 
 
 def tiny():
@@ -38,7 +39,7 @@ access_strategy = st.lists(
 def test_inclusion_and_exclusion_invariants(accesses):
     hierarchy = tiny()
     for block, is_write in accesses:
-        hierarchy.access(block << 6, is_write=is_write)
+        access(hierarchy, block << 6, is_write=is_write)
         l1 = all_blocks(hierarchy.l1)
         l2 = all_blocks(hierarchy.l2)
         l3 = all_blocks(hierarchy.l3)
@@ -52,7 +53,7 @@ def test_dirty_data_is_never_lost(accesses):
     hierarchy = tiny()
     dirty = set()  # blocks written and not yet written back to DRAM
     for block, is_write in accesses:
-        result = hierarchy.access(block << 6, is_write=is_write)
+        result = access(hierarchy, block << 6, is_write=is_write)
         if is_write:
             dirty.add(block)
         for written_back in result.dram_writebacks:
@@ -79,6 +80,6 @@ def test_latency_classes_are_consistent(accesses):
         "memory": config.l1_latency + config.l2_latency + config.l3_latency,
     }
     for block, is_write in accesses:
-        result = hierarchy.access(block << 6, is_write=is_write)
+        result = access(hierarchy, block << 6, is_write=is_write)
         assert result.latency_cycles == expected[result.hit_level]
         assert result.l3_miss == (result.hit_level == "memory")

@@ -6,6 +6,7 @@ The next-line prefetcher's miss handling runs inlined in
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.prefetch import NextLinePrefetcher, StridePrefetcher
+from tests.oracles import access
 
 
 # ----------------------------------------------------------------------
@@ -19,7 +20,7 @@ def hierarchy_with_next_line(window=64, min_accuracy=0.25):
 
 
 def miss(hierarchy, block):
-    assert hierarchy.access(block << 6).hit_level != "l1"
+    assert access(hierarchy, block << 6).hit_level != "l1"
 
 
 def test_next_line_prefetches_block_plus_one():
@@ -27,7 +28,7 @@ def test_next_line_prefetches_block_plus_one():
     miss(hierarchy, 100)
     assert hierarchy.l2.contains(101)
     assert not hierarchy.l1.contains(101)
-    assert hierarchy.access(101 << 6).hit_level == "l2"
+    assert access(hierarchy, 101 << 6).hit_level == "l2"
 
 
 def test_next_line_turns_off_when_useless():

@@ -21,14 +21,20 @@ identical tokens, bitstreams and sizes from both.
 :func:`decompose_vaddr` splits one access the way the replay loop once
 did per access; ``tests/sim/test_columns.py`` holds the column-wise
 ``trace_columns`` to it.
+
+:func:`access` serves one demand access through a production
+:class:`~repro.cache.hierarchy.CacheHierarchy` and describes it as an
+:class:`AccessResult` (hit level, load-to-use cycles, DRAM writebacks),
+for the hierarchy tests; the replay loop builds no such record.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.cache.hierarchy import HierarchyConfig
+from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.prefetch import StridePrefetcher
 from repro.cache.sa_cache import CacheLine
 from repro.common.stats import RatioStat
@@ -43,6 +49,29 @@ from repro.compression.block import (
     ZeroBlockCompressor,
 )
 from repro.compression.lz import MAX_MATCH, MIN_MATCH, LZConfig, LZToken
+
+
+@dataclass(slots=True)
+class AccessResult:
+    """What one block access did."""
+
+    hit_level: str  # "l1" | "l2" | "l3" | "memory"
+    latency_cycles: int
+    l3_miss: bool
+    dram_writebacks: List[int] = field(default_factory=list)
+
+
+_HIT_LEVEL_NAMES = ("l1", "l2", "l3", "memory")
+
+
+def access(hierarchy: CacheHierarchy, address: int, is_write: bool = False,
+           is_ptb: bool = False) -> AccessResult:
+    """Serve one demand access; returns where it hit and at what cost."""
+    writebacks: List[int] = []
+    level = hierarchy.access_fast(address >> 6, is_write, is_ptb, writebacks)
+    return AccessResult(_HIT_LEVEL_NAMES[level],
+                        hierarchy._level_cycles[level], level == 3,
+                        writebacks)
 
 
 def decompose_vaddr(vaddr: int, huge_pages: bool) -> Tuple[int, int, int]:

@@ -1,13 +1,12 @@
 """Determinism regression: same workload/seed => identical metric dumps.
 
 The SimContext refactor centralised every RNG stream; this test pins the
-guarantee that re-running a simulation (and running the multi-core
-engine) with the same seed is bit-identical, metric for metric.
+guarantee that re-running a simulation (single- or multi-core) with the
+same seed is bit-identical, metric for metric.
 """
 
 import pytest
 
-from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator
 from repro.workloads.suite import workload_by_name
 
@@ -26,10 +25,10 @@ def test_simulator_metric_dump_reproducible(tiny_omnetpp):
 
 
 def test_multicore_metric_dump_reproducible(tiny_omnetpp):
-    first = MultiCoreSimulator(tiny_omnetpp, num_cores=2,
-                               controller="tmcc", seed=9).run()
-    second = MultiCoreSimulator(tiny_omnetpp, num_cores=2,
-                                controller="tmcc", seed=9).run()
+    first = Simulator(tiny_omnetpp, controller="tmcc", seed=9, cores=2,
+                      placement_drift=0.0).run()
+    second = Simulator(tiny_omnetpp, controller="tmcc", seed=9, cores=2,
+                       placement_drift=0.0).run()
     assert first.metrics
     assert first.metrics == second.metrics
     # Per-core namespaces exist alongside the shared controller's.

@@ -14,7 +14,8 @@ instrumented replay loop, and both loops rendered these same bytes.
 The law: an observer watches a run, it never steers one.  A span
 tracer, a time-series recorder, a run supervisor with a heartbeat, a
 dormant fault plan or an event-bus subscriber leaves the document
-byte-identical to the unobserved run's.
+byte-identical to the unobserved run's -- on one core, where the loop
+batches, and on two, where it steps and switches cores.
 """
 
 import hashlib
@@ -204,3 +205,34 @@ def test_dormant_fault_plan_leaves_the_document_unchanged(workload,
     sim = Simulator(workload, controller=controller, seed=SEED,
                     fault_plan=DORMANT_PLAN)
     assert render(sim, sim.run()) == unobserved(workload, controller)
+
+
+#: A two-core machine (without warm-up drift, as multi-core runs place
+#: pages).
+TWO_CORES = {"cores": 2, "placement_drift": 0.0}
+
+
+def traced(sim, tmp_path):
+    sim.attach_tracer(SpanTracer(sample_every=64))
+    return sim.run()
+
+
+#: Two cores always step, so the span tracer joins the law there.
+TWO_CORE_OBSERVERS = {**OBSERVERS, "span-tracer": traced}
+
+
+@pytest.mark.parametrize("observer", sorted(TWO_CORE_OBSERVERS)
+                         + ["dormant-fault-plan"])
+@pytest.mark.parametrize("controller", available_controllers())
+def test_observer_leaves_the_two_core_document_unchanged(
+        workload, tmp_path, controller, observer):
+    if observer == "dormant-fault-plan":
+        sim = Simulator(workload, controller=controller, seed=SEED,
+                        fault_plan=DORMANT_PLAN, **TWO_CORES)
+        result = sim.run()
+    else:
+        sim = Simulator(workload, controller=controller, seed=SEED,
+                        **TWO_CORES)
+        result = TWO_CORE_OBSERVERS[observer](sim, tmp_path)
+    assert render(sim, result) == unobserved(workload, controller,
+                                             **TWO_CORES)

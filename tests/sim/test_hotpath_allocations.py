@@ -5,16 +5,15 @@ Two properties keep the replay loop cheap:
 1. the per-access record types carry ``__slots__`` (no ``__dict__``),
    so the instances that still exist stay small -- pinned here with a
    tracemalloc footprint measurement;
-2. the replay loop builds no ``AccessResult``, and builds a miss's
-   timeline only for a span tracer -- pinned by counting constructions
-   of the record objects.
+2. the replay loop, on one core or several, builds no per-walk
+   ``WalkResult``, and builds a miss's timeline only for a span tracer
+   -- pinned by counting constructions of the record objects.
 """
 
 import tracemalloc
 
 import pytest
 
-from repro.cache.hierarchy import AccessResult
 from repro.cache.sa_cache import CacheLine
 from repro.core.base import MissResult
 from repro.core.pipeline import ServiceTimeline, StageSpan
@@ -22,7 +21,9 @@ from repro.dram.system import ReadResult
 from repro.sim.simulator import Simulator
 from repro.sim.timeseries import TimeSeriesRecorder
 from repro.sim.tracing import SpanTracer
+from repro.vm.walker import WalkResult
 from repro.workloads.suite import workload_by_name
+from tests.oracles import AccessResult
 
 HOT_INSTANCES = [
     CacheLine(block=1),
@@ -55,8 +56,8 @@ def test_cacheline_allocation_footprint():
 def count_records(monkeypatch):
     """Count constructions of the per-access record types."""
     counts = {cls.__name__: 0
-              for cls in (AccessResult, ServiceTimeline, StageSpan)}
-    for cls in (AccessResult, ServiceTimeline, StageSpan):
+              for cls in (WalkResult, ServiceTimeline, StageSpan)}
+    for cls in (WalkResult, ServiceTimeline, StageSpan):
         original = cls.__init__
 
         def counting_init(self, *args, _original=original,
@@ -69,14 +70,16 @@ def count_records(monkeypatch):
 
 
 def test_fast_loop_constructs_no_per_access_records(monkeypatch):
-    """An unobserved run never builds the per-access record objects:
-    ``AccessResult`` (``CacheHierarchy.access``) or a miss's
-    ``ServiceTimeline``/``StageSpan`` decomposition."""
+    """An unobserved run, single- or multi-core, never builds the
+    per-access record objects: a ``WalkResult`` (``PageWalker.walk``)
+    or a miss's ``ServiceTimeline``/``StageSpan`` decomposition."""
     counts = count_records(monkeypatch)
     workload = workload_by_name("omnetpp", max_accesses=2_000, scale=0.05)
-    result = Simulator(workload, controller="tmcc", seed=3).run()
-    assert result.l3_misses > 0
-    assert counts == {"AccessResult": 0, "ServiceTimeline": 0,
+    for cores in (1, 2):
+        result = Simulator(workload, controller="tmcc", seed=3,
+                           cores=cores).run()
+        assert result.l3_misses > 0 and result.tlb_misses > 0
+    assert counts == {"WalkResult": 0, "ServiceTimeline": 0,
                       "StageSpan": 0}
 
 
@@ -91,12 +94,12 @@ def test_untraced_instrumented_run_builds_no_timeline(monkeypatch):
         TimeSeriesRecorder(recorded.context.metrics, 5_000.0))
     recorded.run()
     assert recorded.timeseries.rows
-    assert counts == {"AccessResult": 0, "ServiceTimeline": 0,
+    assert counts == {"WalkResult": 0, "ServiceTimeline": 0,
                       "StageSpan": 0}
 
     traced = Simulator(workload, controller="tmcc", seed=3)
     traced.attach_tracer(SpanTracer(sample_every=1))
     traced.run()
-    assert counts["AccessResult"] == 0
+    assert counts["WalkResult"] == 0
     assert counts["ServiceTimeline"] > 0
     assert counts["StageSpan"] > 0

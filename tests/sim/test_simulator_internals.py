@@ -1,5 +1,8 @@
 """Unit tests for simulator internals: warmup, placement, classification."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.simulator import Simulator
@@ -52,7 +55,7 @@ def test_fig5_classification_counts_walk_misses(workload):
     sim = Simulator(workload, controller="compresso")
     sim.run()
     # Classification never exceeds totals.
-    assert 0 <= sim._fig5_after_tlb <= sim._fig5_cte_misses
+    assert 0 <= sim.counters.fig5_after_tlb <= sim.counters.fig5_cte_misses
 
 
 def test_footprint_and_usage_reporting(workload):
@@ -98,3 +101,21 @@ def test_result_as_dict_has_derived_metrics(workload):
     assert record["performance"] == result.performance
     assert "tlb_misses_per_l3_miss" in record
     assert record["controller"] == "uncompressed"
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_finished_simulator_is_freed_without_the_cyclic_gc(cores):
+    """No reference cycle runs through a simulator: with the cyclic GC
+    off, a finished one dies on ``del``."""
+    workload = workload_by_name("omnetpp", max_accesses=1000, scale=0.05)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulator(workload, controller="tmcc", cores=cores)
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -77,6 +77,39 @@ def test_watchdog_truncation_then_resume_matches_uninterrupted(tmp_path):
     assert resumed.as_dict() == baseline.as_dict()
 
 
+def test_two_core_resume_from_mid_run_checkpoint_matches_uninterrupted(
+        tmp_path):
+    """Per-core positions and clocks travel in the checkpoint."""
+    path = str(tmp_path / "ck.pkl")
+    two_cores = {"cores": 2, "placement_drift": 0.0}
+    baseline = small_sim(**two_cores).run()
+    supervisor = RunSupervisor(checkpoint_path=path, checkpoint_every=300)
+    supervised = supervisor.run(small_sim(**two_cores))
+    assert supervised.as_dict() == baseline.as_dict()
+    resumed = load_checkpoint(path)
+    state = resumed._run_state
+    assert state.index == len(resumed.workload.trace) // 300 * 300
+    # Core c has replayed trace indices c, c + 2, ... below positions[c].
+    assert sum((position - core) // 2
+               for core, position in enumerate(state.positions)) == state.index
+    assert resumed.run().as_dict() == baseline.as_dict()
+
+
+def test_two_core_watchdog_truncation_then_resume_matches_uninterrupted(
+        tmp_path):
+    path = str(tmp_path / "ck.pkl")
+    two_cores = {"cores": 2, "placement_drift": 0.0}
+    baseline = small_sim(**two_cores).run()
+    supervisor = RunSupervisor(checkpoint_path=path, wall_clock_limit_s=5.0,
+                               clock=SteppingClock())
+    partial = supervisor.run(small_sim(**two_cores))
+    assert partial.truncated
+    assert partial.accesses < baseline.accesses
+    resumed = load_checkpoint(path).run()
+    assert not resumed.truncated
+    assert resumed.as_dict() == baseline.as_dict()
+
+
 def test_truncated_result_still_carries_collected_metrics():
     supervisor = RunSupervisor(wall_clock_limit_s=3.0, clock=SteppingClock())
     partial = supervisor.run(small_sim())

@@ -243,6 +243,41 @@ def test_run_wall_clock_truncation_exits_3_then_resumes(tmp_path, capsys):
     assert capsys.readouterr().out == baseline
 
 
+RUN_TWO_CORES = ["run", "omnetpp", "--cores", "2", "--accesses", "2000",
+                 "--scale", "0.05", "--seed", "3", "--emit-json"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trace-sample", "16", "--trace-out", "{tmp}/trace.json"],
+    ["--interval-ns", "5000", "--interval-out", "{tmp}/series.csv"],
+    ["--faults", "stale_cte:0.05"],
+    ["--checkpoint", "{tmp}/ck.pkl", "--checkpoint-every", "500"],
+    ["--profile"],
+    ["--wall-clock-limit", "600"],
+], ids=["trace-out", "interval-ns", "faults", "checkpoint", "profile",
+        "wall-clock-limit"])
+def test_multicore_run_takes_every_run_flag(tmp_path, capsys, flags):
+    argv = RUN_TWO_CORES + [flag.format(tmp=tmp_path) for flag in flags]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["run_config"]["cores"] == 2
+    assert record["accesses"] > 0 and not record["truncated"]
+    for flag in flags:
+        if flag.startswith("{tmp}"):
+            assert (tmp_path / flag.split("/")[-1]).stat().st_size > 0
+
+
+def test_multicore_checkpoint_resume_matches_uninterrupted(tmp_path, capsys):
+    assert main(RUN_TWO_CORES) == 0
+    baseline = capsys.readouterr().out
+    path = str(tmp_path / "ck.pkl")
+    assert main(RUN_TWO_CORES + ["--checkpoint", path,
+                                 "--checkpoint-every", "300"]) == 0
+    assert capsys.readouterr().out == baseline
+    assert main(["run", "--resume", path, "--emit-json"]) == 0
+    assert capsys.readouterr().out == baseline
+
+
 def test_run_resume_rejects_garbage_checkpoint(tmp_path, capsys):
     path = tmp_path / "bogus.pkl"
     path.write_text("not a checkpoint")
